@@ -23,12 +23,12 @@ from softalign.geometry import FAMILIES, Transform, apply, make_tps, tps_control
 from softalign.grids import FeatureGrid, cells_to_normalized, normalized_to_cells
 from softalign.matching import CorrelationTensor, correlate
 from softalign.softinlier import (
+    FilteredScores,
     ScoreBreakdown,
     default_threshold,
     hard_inlier_count,
     identity_mask,
     soft_inlier_count,
-    soft_inlier_grad,
     warp_mask,
 )
 
@@ -136,29 +136,32 @@ def _build_transform(stage: str, params: np.ndarray, control_grid: int) -> Trans
     return make_tps(params, control_grid=control_grid)
 
 
-def _count(s: CorrelationTensor, m_id, stage, params, control_grid) -> float:
-    """c at the given parameters, -inf when the transform is degenerate."""
+def _count(filtered: FilteredScores, stage, params, control_grid):
+    """``(c, sample)`` at the given parameters.
+
+    ``(-inf, None)`` when the parameters give no usable mapping: a
+    degenerate transform, a homography whose denominator vanishes at a
+    target cell, or a non-finite source point.
+    """
     try:
-        T = _build_transform(stage, params, control_grid)
+        sample = filtered.gather(_build_transform(stage, params, control_grid))
     except ValueError:
-        return -np.inf
-    warped = warp_mask(m_id, T)
-    return float(np.sum(s.data * warped.data))
+        return -np.inf, None
+    return sample.c, sample
 
 
-def _count_and_grad(s, m_id, stage, params, control_grid):
-    T = _build_transform(stage, params, control_grid)
-    dc_dg, dc_ds = soft_inlier_grad(s, m_id, T)
-    return float(np.sum(s.data * dc_ds)), dc_dg
+def _ascend(filtered, stage, g0, steps, lr, betas, tol, control_grid):
+    """Adaptive-moment ascent with backtracking; accepted steps never lower c.
 
-
-def _ascend(s, m_id, stage, g0, steps, lr, betas, tol, control_grid):
-    """Adaptive-moment ascent with backtracking; accepted steps never lower c."""
+    Each accepted point is scored once: its gradient comes from the same
+    gathered sample as its count.
+    """
     g = np.asarray(g0, dtype=np.float64).copy()
     b1, b2 = betas
     m1 = np.zeros_like(g)
     m2 = np.zeros_like(g)
-    c_cur, grad = _count_and_grad(s, m_id, stage, g, control_grid)
+    start = filtered.gather(_build_transform(stage, g, control_grid))
+    c_cur, grad = start.c, start.dc_dg()
     trace = [c_cur]
     stall = 0
     for it in range(1, steps + 1):
@@ -166,20 +169,17 @@ def _ascend(s, m_id, stage, g0, steps, lr, betas, tol, control_grid):
         m2 = b2 * m2 + (1 - b2) * grad * grad
         direction = (m1 / (1 - b1**it)) / (np.sqrt(m2 / (1 - b2**it)) + ADAM_EPS)
         scale = 1.0
-        accepted = False
+        improvement = 0.0
         for _ in range(MAX_BACKTRACKS):
             g_try = g + lr * scale * direction
-            if _count(s, m_id, stage, g_try, control_grid) >= c_cur:
-                accepted = True
+            c_try, sample = _count(filtered, stage, g_try, control_grid)
+            if c_try >= c_cur:
+                g = g_try
+                improvement = c_try - c_cur
+                c_cur = c_try
+                grad = sample.dc_dg()
                 break
             scale *= 0.5
-        if accepted:
-            g = g_try
-            c_new, grad = _count_and_grad(s, m_id, stage, g, control_grid)
-            improvement = c_new - c_cur
-            c_cur = max(c_new, c_cur)
-        else:
-            improvement = 0.0
         trace.append(c_cur)
         stall = stall + 1 if improvement < tol else 0
         if stall >= STALL_LIMIT:
@@ -227,7 +227,7 @@ def fit_direct(f_s: FeatureGrid, f_t: FeatureGrid, cfg: FitConfig | None = None)
         )
     s = correlate(f_s, f_t)
     t = cfg.threshold if cfg.threshold is not None else default_threshold(f_s.h, f_s.w)
-    m_id = identity_mask(f_s.h, f_s.w, t)
+    filtered = FilteredScores(s, t)
     stages = cfg.resolved_stages()
 
     best = None  # (c, restart, params, stage, trace)
@@ -240,13 +240,14 @@ def fit_direct(f_s: FeatureGrid, f_t: FeatureGrid, cfg: FitConfig | None = None)
                 g = _embed_stage(stage, g, cfg.control_grid)
             lr = cfg.step if idx == 0 else cfg.stage2_step
             g, c_end, tr = _ascend(
-                s, m_id, stage, g, cfg.iterations, lr, cfg.betas, cfg.tol, cfg.control_grid
+                filtered, stage, g, cfg.iterations, lr, cfg.betas, cfg.tol, cfg.control_grid
             )
             trace.extend(tr)
         if best is None or c_end > best[0]:
             best = (c_end, restart, g, stage, trace)
 
     c_best, restart_idx, g_best, stage_best, trace_best = best
+    m_id = identity_mask(f_s.h, f_s.w, t)
     if c_best <= 0.0:
         T = Transform.identity(cfg.family)
         breakdown = soft_inlier_count(s, warp_mask(m_id, T))

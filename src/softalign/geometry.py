@@ -366,6 +366,23 @@ def _snap(c: np.ndarray) -> np.ndarray:
     return np.where(np.abs(c - r) < LATTICE_SNAP_EPS, r, c)
 
 
+def bilinear_blend(c00, c01, c10, c11, du, dv):
+    """Bilinear blend of the four corner values."""
+    return (
+        c00 * (1.0 - du) * (1.0 - dv)
+        + c01 * (1.0 - du) * dv
+        + c10 * du * (1.0 - dv)
+        + c11 * du * dv
+    )
+
+
+def bilinear_slopes(c00, c01, c10, c11, du, dv):
+    """Derivatives of :func:`bilinear_blend` with respect to u and v."""
+    d_du = (1.0 - dv) * (c10 - c00) + dv * (c11 - c01)
+    d_dv = (1.0 - du) * (c01 - c00) + du * (c11 - c10)
+    return d_du, d_dv
+
+
 def _corner_values(img: np.ndarray, u: np.ndarray, v: np.ndarray):
     """The four cell-corner values under zero padding, plus fractions."""
     h, w = img.shape[-2], img.shape[-1]
@@ -401,13 +418,8 @@ def bilinear_sample(img, grid) -> np.ndarray:
     if img.ndim != 2:
         raise ValueError(f"expected a 2-D image, got shape {img.shape}")
     uv = _coerce_coords(grid)
-    (c00, c01, c10, c11), _, du, dv = _corner_values(img, uv[..., 0], uv[..., 1])
-    return (
-        c00 * (1.0 - du) * (1.0 - dv)
-        + c01 * (1.0 - du) * dv
-        + c10 * du * (1.0 - dv)
-        + c11 * du * dv
-    )
+    corners, _, du, dv = _corner_values(img, uv[..., 0], uv[..., 1])
+    return bilinear_blend(*corners, du, dv)
 
 
 def bilinear_sample_backward(img, grid, upstream) -> tuple[np.ndarray, np.ndarray]:
@@ -440,25 +452,20 @@ def bilinear_sample_backward(img, grid, upstream) -> tuple[np.ndarray, np.ndarra
         contrib = upstream * wgt * ok
         np.add.at(grad_img, (uc.ravel(), vc.ravel()), contrib.ravel())
 
-    d_du = (1.0 - dv) * (c10 - c00) + dv * (c11 - c01)
-    d_dv = (1.0 - du) * (c01 - c00) + du * (c11 - c10)
+    d_du, d_dv = bilinear_slopes(c00, c01, c10, c11, du, dv)
     grad_coords = np.stack([upstream * d_du, upstream * d_dv], axis=-1)
     return grad_img, grad_coords
 
 
-def _stack_corners(imgs: np.ndarray, points: np.ndarray):
-    """Corner values for stack sampling via a zero-padded flat gather.
+def padded_corners(points, h: int, w: int):
+    """Flat gather indices of the four bilinear corners, plus fractions.
 
-    Embedding each image in a one-pixel zero border lets every
-    out-of-range corner index clip onto a zero cell, so no validity
-    masks are needed; the gather is a single ``take`` per corner.
+    Indices address an ``(h + 2) x (w + 2)`` image whose one-cell zero
+    border surrounds the h x w interior, flattened row-major: every
+    out-of-range corner clips onto a zero border cell, so no validity
+    masks are needed.  Returns ``((i00, i01, i10, i11), du, dv)``.
     """
-    imgs = np.asarray(imgs, dtype=np.float64)
     pts = _coerce_coords(points)
-    n, h, w = imgs.shape
-    padded = np.zeros((n, h + 2, w + 2))
-    padded[:, 1:-1, 1:-1] = imgs
-    flat = padded.reshape(n, -1)
     u = _snap(pts[:, 0])
     v = _snap(pts[:, 1])
     u0 = np.floor(u).astype(np.int64)
@@ -470,11 +477,19 @@ def _stack_corners(imgs: np.ndarray, points: np.ndarray):
     ui1 = np.clip(u0 + 2, 0, h + 1)
     vi1 = np.clip(v0 + 2, 0, w + 1)
     stride = w + 2
-    c00 = flat.take(ui * stride + vi, axis=1)
-    c01 = flat.take(ui * stride + vi1, axis=1)
-    c10 = flat.take(ui1 * stride + vi, axis=1)
-    c11 = flat.take(ui1 * stride + vi1, axis=1)
-    return c00, c01, c10, c11, du, dv
+    corners = (ui * stride + vi, ui * stride + vi1, ui1 * stride + vi, ui1 * stride + vi1)
+    return corners, du, dv
+
+
+def _stack_corners(imgs: np.ndarray, points: np.ndarray):
+    """Corner values for stack sampling via a zero-padded flat gather."""
+    imgs = np.asarray(imgs, dtype=np.float64)
+    n, h, w = imgs.shape
+    padded = np.zeros((n, h + 2, w + 2))
+    padded[:, 1:-1, 1:-1] = imgs
+    flat = padded.reshape(n, -1)
+    corners, du, dv = padded_corners(points, h, w)
+    return (*(flat.take(idx, axis=1) for idx in corners), du, dv)
 
 
 def bilinear_sample_stack(imgs: np.ndarray, points: np.ndarray) -> np.ndarray:
@@ -485,13 +500,7 @@ def bilinear_sample_stack(imgs: np.ndarray, points: np.ndarray) -> np.ndarray:
     :func:`bilinear_sample`.  All images are sampled at all points, which
     is the access pattern of the mask warp.
     """
-    c00, c01, c10, c11, du, dv = _stack_corners(imgs, points)
-    return (
-        c00 * (1.0 - du) * (1.0 - dv)
-        + c01 * (1.0 - du) * dv
-        + c10 * du * (1.0 - dv)
-        + c11 * du * dv
-    )
+    return bilinear_blend(*_stack_corners(imgs, points))
 
 
 def bilinear_sample_stack_grad(
@@ -502,13 +511,5 @@ def bilinear_sample_stack_grad(
     Returns ``(values, d_du, d_dv)``, each ``(n, m)``: the derivative of
     ``values[i, p]`` with respect to point ``p``'s u and v coordinate.
     """
-    c00, c01, c10, c11, du, dv = _stack_corners(imgs, points)
-    values = (
-        c00 * (1.0 - du) * (1.0 - dv)
-        + c01 * (1.0 - du) * dv
-        + c10 * du * (1.0 - dv)
-        + c11 * du * dv
-    )
-    d_du = (1.0 - dv) * (c10 - c00) + dv * (c11 - c01)
-    d_dv = (1.0 - du) * (c01 - c00) + du * (c11 - c10)
-    return values, d_du, d_dv
+    corners = _stack_corners(imgs, points)
+    return (bilinear_blend(*corners), *bilinear_slopes(*corners))

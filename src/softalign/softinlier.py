@@ -15,9 +15,23 @@ masked match scores::
 
 Because the warped mask is piecewise bilinear in the warped coordinates,
 ``c`` is differentiable in the transform parameters; because it is linear
-in ``s``, the score gradient is simply the warped mask itself.  ``c`` is
-reduced with a single row-major numpy summation, so the result is
+in ``s``, the score gradient is simply the warped mask itself.  Every
+``c`` is reduced with a single numpy summation, so the result is
 deterministic for fixed inputs.
+
+The dense ``(h, w, h, w)`` mask is the reference path (:func:`warp_mask`,
+:func:`soft_inlier_grad`, :func:`soft_inlier_count`).  Fitting and
+training score through :class:`FilteredScores` instead, which rests on
+the same linearity: with ``uv_kl = T(k, l)`` in source-grid units,
+
+    c = sum_kl bilinear(S_t[., ., k, l], uv_kl),
+    S_t[p, q, k, l] = sum_{||(i, j) - (p, q)|| < t} s[i, j, k, l]
+
+with zero padding.  ``S_t`` does not depend on ``T``, so it is built
+once per pair from a few shifted adds (at ``t <= 1`` it is ``s`` itself),
+and every later score or gradient is an O(hw) gather of four corners
+per target cell instead of an O((hw)^2) mask warp.  The two paths agree
+to rounding; on whole-cell shifts both are exact.
 
 Mask values are used as-is (fractional, in [0, 1]); softness comes only
 from interpolation, never from re-binarization or sigmoid smoothing.
@@ -155,6 +169,29 @@ def soft_inlier_count(
     return ScoreBreakdown(c=c, contributions=contributions, inliers=inliers)
 
 
+def _target_points(h: int, w: int) -> np.ndarray:
+    """``(h*w, 2)`` normalized (x, y) centres of the target cells, row-major."""
+    kk, ll = np.meshgrid(np.arange(h), np.arange(w), indexing="ij")
+    x, y = cells_to_normalized(kk.ravel(), ll.ravel(), h, w)
+    return np.stack([x, y], axis=1)
+
+
+def _chain_to_params(
+    T: geometry.Transform, xy: np.ndarray, dc_du: np.ndarray, dc_dv: np.ndarray, h: int, w: int
+) -> np.ndarray:
+    """dc/dg from per-target-cell derivatives in source-grid units.
+
+    Chains through the normalized-to-grid scaling and the transform's
+    parameter Jacobian at the target points ``xy``.
+    """
+    jac = geometry.jacobian_many(T, xy)  # (m, K, 2); [..., 0] is d x'/d g
+    du_dy = (h - 1) / 2.0
+    dv_dx = (w - 1) / 2.0
+    return np.einsum("m,mk->k", dc_du * du_dy, jac[:, :, 1]) + np.einsum(
+        "m,mk->k", dc_dv * dv_dx, jac[:, :, 0]
+    )
+
+
 def soft_inlier_grad(
     s: CorrelationTensor, m_id: InlierMask, T: geometry.Transform
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -171,9 +208,7 @@ def soft_inlier_grad(
             f"shape mismatch: scores {s.data.shape} vs mask {m_id.data.shape}"
         )
     h, w = m_id.grid_shape
-    kk, ll = np.meshgrid(np.arange(h), np.arange(w), indexing="ij")
-    x, y = cells_to_normalized(kk.ravel(), ll.ravel(), h, w)
-    xy = np.stack([x, y], axis=1)
+    xy = _target_points(h, w)
     mapped = geometry.apply(T, xy)
     u, v = normalized_to_cells(mapped[:, 0], mapped[:, 1], h, w)
     pts = np.stack([u, v], axis=1)
@@ -185,14 +220,84 @@ def soft_inlier_grad(
     s2 = s.data.reshape(h * w, h * w)
     dc_du = np.sum(s2 * d_du, axis=0)  # per target cell
     dc_dv = np.sum(s2 * d_dv, axis=0)
+    return _chain_to_params(T, xy, dc_du, dc_dv, h, w), dc_ds
 
-    jac = geometry.jacobian_many(T, xy)  # (m, K, 2); [..., 0] is d x'/d g
-    du_dy = (h - 1) / 2.0
-    dv_dx = (w - 1) / 2.0
-    dc_dg = np.einsum("m,mk->k", dc_du * du_dy, jac[:, :, 1]) + np.einsum(
-        "m,mk->k", dc_dv * dv_dx, jac[:, :, 0]
-    )
-    return dc_dg, dc_ds
+
+def _overlap(d: int, n: int) -> tuple[slice, slice]:
+    """Destination and source ranges of ``dst[p] += src[p + d]``, 0 <= p + d < n."""
+    return slice(max(0, -d), n - max(0, d)), slice(max(0, d), n - max(0, -d))
+
+
+class FilteredScores:
+    """``S_t`` of one correlation volume: the gather path of the soft count.
+
+    ``S_t[p, q, k, l]`` sums ``s[i, j, k, l]`` over the source cells
+    strictly within ``t`` of (p, q) — the cells ``identity_mask`` marks —
+    and is held in a one-cell zero border around the source dims, so
+    ``S_t[., ., k, l]`` can be sampled with :func:`geometry.padded_corners`.
+    ``scores`` is the correlation data itself; when the disk is a single
+    cell (``t <= 1``) it is a view of the border's interior, so the pair is
+    stored once.  The normalized target-cell centres, which every score
+    maps through ``T``, are computed here once as well.
+    """
+
+    def __init__(self, s: CorrelationTensor, t: float):
+        if not t > 0.0:
+            raise ValueError(f"threshold must be positive, got {t}")
+        h, w = s.source_shape
+        if s.target_shape != (h, w):
+            raise ValueError(
+                f"source and target grids must match, got {s.data.shape}"
+            )
+        padded = np.zeros((h + 2, w + 2, h, w))
+        inner = padded[1:-1, 1:-1]
+        r = int(min(t, max(h, w)))  # no disk reaches past the grid
+        offsets = [
+            (di, dj)
+            for di in range(-min(r, h - 1), min(r, h - 1) + 1)
+            for dj in range(-min(r, w - 1), min(r, w - 1) + 1)
+            if float(di * di + dj * dj) < t * t
+        ]
+        for di, dj in offsets:
+            (pi, si), (pj, sj) = _overlap(di, h), _overlap(dj, w)
+            inner[pi, pj] += s.data[si, sj]
+        self.grid_shape = (h, w)
+        self.scores = inner if offsets == [(0, 0)] else s.data
+        self.points = _target_points(h, w)
+        self.padded = padded
+        self._cells = np.arange(h * w)
+
+    def gather(self, T: geometry.Transform) -> "ScoreSample":
+        """``S_t`` sampled at ``T``'s source point of every target cell.
+
+        Raises ``ValueError`` when ``T`` cannot map a target cell to a
+        finite source point.
+        """
+        h, w = self.grid_shape
+        mapped = geometry.apply(T, self.points)
+        u, v = normalized_to_cells(mapped[:, 0], mapped[:, 1], h, w)
+        corners, du, dv = geometry.padded_corners(np.stack([u, v], axis=1), h, w)
+        flat = self.padded.reshape(-1)
+        values = tuple(flat.take(idx * (h * w) + self._cells) for idx in corners)
+        return ScoreSample(self, T, values, du, dv)
+
+
+class ScoreSample:
+    """The soft count ``c`` at one transform, and its gradient on demand."""
+
+    def __init__(self, filtered: FilteredScores, T: geometry.Transform, corners, du, dv):
+        self.T = T
+        self.c = float(np.sum(geometry.bilinear_blend(*corners, du, dv)))
+        self._filtered = filtered
+        self._corners = corners
+        self._du = du
+        self._dv = dv
+
+    def dc_dg(self) -> np.ndarray:
+        """dc/dg, the same chain as :func:`soft_inlier_grad`'s."""
+        dc_du, dc_dv = geometry.bilinear_slopes(*self._corners, self._du, self._dv)
+        h, w = self._filtered.grid_shape
+        return _chain_to_params(self.T, self._filtered.points, dc_du, dc_dv, h, w)
 
 
 def hard_inlier_count(

@@ -2,7 +2,8 @@
 
 The only training signal is that each (source, target) pair should match:
 the loss is the negated soft-inlier count of the predicted transform, and
-its gradient flows through the warped mask into the regressor parameters.
+its gradient flows through the count's transform parameters into the
+regressor parameters.
 No correspondence or ground-truth-transform data enters any code path in
 this module — :func:`train` accepts feature-grid pairs and nothing else.
 
@@ -22,13 +23,7 @@ import numpy as np
 from softalign.geometry import FAMILIES, PARAM_COUNTS, Transform
 from softalign.grids import FeatureGrid
 from softalign.matching import CorrelationTensor, correlate
-from softalign.softinlier import (
-    InlierMask,
-    default_threshold,
-    identity_mask,
-    soft_inlier_grad,
-    warp_mask,
-)
+from softalign.softinlier import FilteredScores, default_threshold
 
 CHECKPOINT_FORMAT = "softalign-regressor"
 CHECKPOINT_VERSION = 1
@@ -148,15 +143,19 @@ def _to_transform(family: str, g: np.ndarray) -> Transform:
     return make_tps(g)
 
 
-def _pair_loss_grad(model: RegressorModel, s: CorrelationTensor, m_id: InlierMask):
+def _pair_loss(model: RegressorModel, filtered: FilteredScores) -> float:
+    """The loss alone for one cached pair: no gradient is built."""
+    g, _, _ = _forward(model, filtered.scores.ravel())
+    return -filtered.gather(_to_transform(model.family, g)).c
+
+
+def _pair_loss_grad(model: RegressorModel, filtered: FilteredScores):
     """Loss and parameter gradients for one cached pair."""
-    vec = s.data.ravel()
+    vec = filtered.scores.ravel()
     g, a, z = _forward(model, vec)
-    T = _to_transform(model.family, g)
-    dc_dg, _ = soft_inlier_grad(s, m_id, T)
-    warped = warp_mask(m_id, T)
-    loss = -float(np.sum(s.data * warped.data))
-    dloss_dg = -dc_dg
+    sample = filtered.gather(_to_transform(model.family, g))
+    loss = -sample.c
+    dloss_dg = -sample.dc_dg()
     grad_b2 = dloss_dg
     grad_W2 = np.outer(dloss_dg, a)
     dz = (model.W2.T @ dloss_dg) * (z > 0.0)
@@ -181,8 +180,7 @@ def loss_and_grad(
         )
     if t is None:
         t = default_threshold(h, w)
-    m_id = identity_mask(h, w, t)
-    return _pair_loss_grad(model, s, m_id)
+    return _pair_loss_grad(model, FilteredScores(s, t))
 
 
 def _check_dataset(dataset) -> list[tuple[FeatureGrid, FeatureGrid]]:
@@ -219,8 +217,7 @@ def train(dataset, cfg: TrainConfig | None = None) -> tuple[RegressorModel, list
             raise ValueError(f"dataset[{idx}]: all grids must be {h}x{w}")
 
     t = cfg.threshold if cfg.threshold is not None else default_threshold(h, w)
-    m_id = identity_mask(h, w, t)
-    cached = [(correlate(f_s, f_t), m_id) for f_s, f_t in pairs]
+    cached = [FilteredScores(correlate(f_s, f_t), t) for f_s, f_t in pairs]
 
     model = init_model(h, w, cfg)
     params = model.parameters()
@@ -230,9 +227,7 @@ def train(dataset, cfg: TrainConfig | None = None) -> tuple[RegressorModel, list
     rng = np.random.default_rng(cfg.seed)
 
     def mean_loss() -> float:
-        return float(
-            np.mean([_pair_loss_grad(model, s, m)[0] for s, m in cached])
-        )
+        return float(np.mean([_pair_loss(model, f) for f in cached]))
 
     trace = [mean_loss()]
     step_count = 0
@@ -243,8 +238,7 @@ def train(dataset, cfg: TrainConfig | None = None) -> tuple[RegressorModel, list
             batch = order[start : start + cfg.batch_size]
             acc = {k: np.zeros_like(v) for k, v in params.items()}
             for idx in batch:
-                s, m = cached[idx]
-                _, grads = _pair_loss_grad(model, s, m)
+                _, grads = _pair_loss_grad(model, cached[idx])
                 for k in acc:
                     acc[k] += grads[k]
             step_count += 1

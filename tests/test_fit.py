@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from helpers import random_normalized
-from softalign.features import GrayImage, extract_descriptors, render_warped, synthetic_image
+from softalign import fit
+from softalign.features import GrayImage, extract_descriptors, render_warped, synth_pair, synthetic_image
 from softalign.fit import (
     AlignmentResult,
     FitConfig,
@@ -17,7 +18,7 @@ from softalign.fit import (
 from softalign.geometry import Transform, apply
 from softalign.grids import FeatureGrid, cells_to_normalized
 from softalign.matching import CorrelationTensor, correlate
-from softalign.softinlier import identity_mask, soft_inlier_count, warp_mask
+from softalign.softinlier import FilteredScores, identity_mask, soft_inlier_count, warp_mask
 
 
 def orthonormal_grid(h, w):
@@ -133,6 +134,88 @@ class TestFitDirect:
         with pytest.raises(ValueError, match="share dimensions"):
             fit_direct(random_normalized(rng, 5, 5, 8), random_normalized(rng, 5, 6, 8),
                        FitConfig(iterations=1, restarts=1))
+
+    def test_unusable_mapping_scores_minus_inf(self):
+        rng = np.random.default_rng(97)
+        s = correlate(random_normalized(rng, 6, 6, 8), random_normalized(rng, 6, 6, 8))
+        filtered = FilteredScores(s, 1.0)
+        # the denominator -x + 1 vanishes at the target frame's right edge
+        assert fit._count(filtered, "homography", [1, 0, 0, 0, 1, 0, -1.0, 0], 3) == (-np.inf, None)
+        with np.errstate(over="ignore", invalid="ignore"):  # overflows to a non-finite grid
+            assert fit._count(filtered, "affine", [1e308, 0, 0, 0, 1e308, 0], 3) == (-np.inf, None)
+        assert fit._count(filtered, "affine", [1, 1, 0, 1, 1, 0], 3) == (-np.inf, None)
+
+    def test_homography_trial_with_vanishing_denominator(self):
+        # a backtracking trial hits "homography denominator ~ 0"; it must
+        # count as a rejected step, not abort the fit
+        p = synth_pair(synthetic_image(3, 64, 64), "affine", 1.0, 16, 16, seed=3)
+        res = fit_direct(p.source, p.target, FitConfig(
+            family="homography", step=5.0, stage2_step=5.0, iterations=30, restarts=2))
+        assert np.isfinite(res.c)
+        assert np.all(np.diff(res.trace) >= 0)
+
+    @pytest.mark.parametrize("family", ["affine", "homography", "tps"])
+    def test_scoring_accepted_points_once(self, family, monkeypatch):
+        # the ascent reuses each accepted trial's gather for its gradient;
+        # results equal those of the loop that scores the point again
+        p = synth_pair(synthetic_image(3, 48, 48), "affine", 1.0, 12, 12, seed=3)
+        cfg = FitConfig(family=family, iterations=25, restarts=2, step=0.2, stage2_step=0.5)
+        gathers = {"n": 0}
+        gather = FilteredScores.gather
+
+        def counted(self, T):
+            gathers["n"] += 1
+            return gather(self, T)
+
+        monkeypatch.setattr(FilteredScores, "gather", counted)
+        once = fit_direct(p.source, p.target, cfg)
+        n_once, gathers["n"] = gathers["n"], 0
+        monkeypatch.setattr(fit, "_ascend", _ascend_scoring_twice)
+        twice = fit_direct(p.source, p.target, cfg)
+        assert once.trace == twice.trace
+        assert once.c == twice.c and once.restart_index == twice.restart_index
+        np.testing.assert_array_equal(once.transform.params, twice.transform.params)
+        assert n_once < gathers["n"]
+
+
+def _ascend_scoring_twice(filtered, stage, g0, steps, lr, betas, tol, control_grid):
+    """The ascent loop that scores every accepted point a second time."""
+
+    def count_and_grad(g):
+        sample = filtered.gather(fit._build_transform(stage, g, control_grid))
+        return sample.c, sample.dc_dg()
+
+    g = np.asarray(g0, dtype=np.float64).copy()
+    b1, b2 = betas
+    m1 = np.zeros_like(g)
+    m2 = np.zeros_like(g)
+    c_cur, grad = count_and_grad(g)
+    trace = [c_cur]
+    stall = 0
+    for it in range(1, steps + 1):
+        m1 = b1 * m1 + (1 - b1) * grad
+        m2 = b2 * m2 + (1 - b2) * grad * grad
+        direction = (m1 / (1 - b1**it)) / (np.sqrt(m2 / (1 - b2**it)) + fit.ADAM_EPS)
+        scale = 1.0
+        accepted = False
+        for _ in range(fit.MAX_BACKTRACKS):
+            g_try = g + lr * scale * direction
+            if fit._count(filtered, stage, g_try, control_grid)[0] >= c_cur:
+                accepted = True
+                break
+            scale *= 0.5
+        if accepted:
+            g = g_try
+            c_new, grad = count_and_grad(g)
+            improvement = c_new - c_cur
+            c_cur = max(c_new, c_cur)
+        else:
+            improvement = 0.0
+        trace.append(c_cur)
+        stall = stall + 1 if improvement < tol else 0
+        if stall >= fit.STALL_LIMIT:
+            break
+    return g, c_cur, trace
 
 
 def translation_tensor(h, w, di, dj, targets):

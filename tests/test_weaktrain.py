@@ -212,6 +212,23 @@ class TestTrain:
             np.testing.assert_array_equal(v, m2.parameters()[k])
         assert t1 == t2
 
+    @pytest.mark.parametrize("threshold", [None, 1.5])
+    def test_trace_equals_full_pass_loss(self, threshold):
+        # the per-epoch trace computes the loss alone; it must equal the mean
+        # loss of full loss-and-gradient passes at the same model
+        rng = np.random.default_rng(121)
+        pairs = [random_pair(rng) for _ in range(5)]
+        cfg = TrainConfig(epochs=3, batch_size=2, hidden=6, seed=4, threshold=threshold)
+        model, trace = train(pairs, cfg)
+        t = threshold or default_threshold(6, 6)
+
+        def full_pass(m):
+            return float(np.mean([loss_and_grad(m, f_s, f_t, t)[0] for f_s, f_t in pairs]))
+
+        assert trace[0] == pytest.approx(full_pass(init_model(6, 6, cfg)), rel=1e-12)
+        assert trace[-1] == pytest.approx(full_pass(model), rel=1e-12)
+        assert trace[-1] != trace[0]
+
     def test_trace_layout(self):
         rng = np.random.default_rng(118)
         pairs = [random_pair(rng) for _ in range(3)]
