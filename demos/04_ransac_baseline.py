@@ -45,7 +45,7 @@ for name, res in (("ransac", res_r), ("direct", res_d)):
 
 diff = np.abs(res_r.transform.params - res_d.transform.params).max()
 print(f"\nmax |param difference| between the two fits: {diff:.4f}")
-print("the two take about as long, but ransac stands or falls with its argmax "
-      "matches, which are noisy on smooth textures (see demo 01); the "
+print("ransac stands or falls with its argmax matches, which are noisy "
+      "on smooth textures (see demo 01); the "
       "direct fitter never commits to matches and can still find the "
       "warp the correlation mass agrees on")

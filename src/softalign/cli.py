@@ -196,11 +196,11 @@ def _read_points(path) -> np.ndarray:
 MANIFEST_PATH_KEYS = ("source", "target", "keypoints", "src_mask", "tgt_mask")
 
 
-def _read_manifest(path) -> list[dict]:
-    """Read a JSONL pair manifest, resolving and checking every path."""
-    base = os.path.dirname(os.path.abspath(path))
-    records = []
-    ids = set()
+def _manifest_objects(path):
+    """Yield ``(lineno, record)`` for every non-blank line of a JSONL manifest.
+
+    Each line must hold a JSON object.
+    """
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
@@ -211,20 +211,46 @@ def _read_manifest(path) -> list[dict]:
                 raise ValueError(f"{path}:{lineno}: {exc}") from None
             if not isinstance(obj, dict):
                 raise ValueError(f"{path}:{lineno}: pair record must be a JSON object")
-            rec = dict(obj)
-            if "id" not in rec:
-                raise ValueError(f"{path}:{lineno}: pair record needs an 'id'")
-            rec["id"] = str(rec["id"])
-            if rec["id"] in ids:
-                raise ValueError(f"{path}:{lineno}: duplicate id {rec['id']!r}")
-            ids.add(rec["id"])
-            for key in ("source", "target"):
-                if not rec.get(key):
-                    raise ValueError(f"{path}:{lineno}: pair record needs {key!r}")
-            for key in MANIFEST_PATH_KEYS:
-                if rec.get(key) is not None and not os.path.isabs(rec[key]):
-                    rec[key] = os.path.join(base, rec[key])
-            records.append(rec)
+            yield lineno, obj
+
+
+def _is_sizes(value) -> bool:
+    """Whether ``value`` is a list of four positive integers."""
+    return (
+        isinstance(value, list)
+        and len(value) == 4
+        and all(isinstance(v, int) and not isinstance(v, bool) and v > 0 for v in value)
+    )
+
+
+def _read_manifest(path) -> list[dict]:
+    """Read a JSONL pair manifest, resolving and checking every path."""
+    base = os.path.dirname(os.path.abspath(path))
+    records = []
+    ids = set()
+    for lineno, obj in _manifest_objects(path):
+        rec = dict(obj)
+        if "id" not in rec:
+            raise ValueError(f"{path}:{lineno}: pair record needs an 'id'")
+        rec["id"] = str(rec["id"])
+        if rec["id"] in ids:
+            raise ValueError(f"{path}:{lineno}: duplicate id {rec['id']!r}")
+        ids.add(rec["id"])
+        for key in ("source", "target"):
+            if not rec.get(key):
+                raise ValueError(f"{path}:{lineno}: pair record needs {key!r}")
+        if rec.get("sizes") is not None and not _is_sizes(rec["sizes"]):
+            raise ValueError(
+                f"{path}:{lineno}: 'sizes' must be a list of four positive integers"
+            )
+        for key in MANIFEST_PATH_KEYS:
+            if rec.get(key) is None:
+                continue
+            if not isinstance(rec[key], str):
+                raise ValueError(f"{path}:{lineno}: {key!r} must be a path string")
+            if not os.path.isabs(rec[key]):
+                rec[key] = os.path.join(base, rec[key])
+        records.append(rec)
     if not records:
         raise ValueError(f"{path}: empty manifest")
     missing = [
@@ -244,25 +270,20 @@ def _read_grid_pairs(path, grid_hw, descriptor) -> list[tuple]:
     ``target_fgrid`` keys)."""
     base = os.path.dirname(os.path.abspath(path))
     pairs = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ValueError(f"{path}:{lineno}: {exc}") from None
-            src = obj.get("source", obj.get("source_fgrid"))
-            tgt = obj.get("target", obj.get("target_fgrid"))
-            if not src or not tgt:
-                raise ValueError(f"{path}:{lineno}: pair record needs source and target")
-            paths = [p if os.path.isabs(p) else os.path.join(base, p) for p in (src, tgt)]
-            pairs.append(
-                (
-                    _load_grid(paths[0], grid_hw, descriptor),
-                    _load_grid(paths[1], grid_hw, descriptor),
-                )
+    for lineno, obj in _manifest_objects(path):
+        src = obj.get("source", obj.get("source_fgrid"))
+        tgt = obj.get("target", obj.get("target_fgrid"))
+        if not src or not tgt:
+            raise ValueError(f"{path}:{lineno}: pair record needs source and target")
+        if not isinstance(src, str) or not isinstance(tgt, str):
+            raise ValueError(f"{path}:{lineno}: source and target must be path strings")
+        paths = [p if os.path.isabs(p) else os.path.join(base, p) for p in (src, tgt)]
+        pairs.append(
+            (
+                _load_grid(paths[0], grid_hw, descriptor),
+                _load_grid(paths[1], grid_hw, descriptor),
             )
+        )
     if not pairs:
         raise ValueError(f"{path}: empty manifest")
     return pairs
@@ -307,7 +328,7 @@ def _pair_record(rec: dict, aligner, args) -> dict:
 
     sizes = rec.get("sizes")
     if sizes is not None:
-        sizes = tuple(int(v) for v in sizes)
+        sizes = tuple(sizes)
     if rec.get("keypoints"):
         kps = evalkit.read_keypoints(rec["keypoints"], sizes)
         alpha = args.alpha if args.alpha is not None else evalkit.DEFAULT_ALPHA[args.protocol]
@@ -482,8 +503,7 @@ def cmd_score(args) -> int:
     f_t = _load_grid(args.target, grid_hw, args.descriptor)
     s = matching.correlate(f_s, f_t)
     t_used = args.t if args.t is not None else softinlier.default_threshold(f_s.h, f_s.w)
-    m_id = softinlier.identity_mask(f_s.h, f_s.w, t_used)
-    breakdown = softinlier.soft_inlier_count(s, softinlier.warp_mask(m_id, T), args.top_k)
+    breakdown = softinlier.score_breakdown(s, T, t_used, args.top_k)
     report["result"] = {
         "c": float(breakdown.c),
         "t": float(t_used),

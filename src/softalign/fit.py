@@ -18,18 +18,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from softalign import geometry
-from softalign.geometry import FAMILIES, Transform, apply, make_tps, tps_control_points
-from softalign.grids import FeatureGrid, cells_to_normalized, normalized_to_cells
+from softalign.geometry import FAMILIES, Transform, apply, apply_many, make_tps, tps_control_points
+from softalign.grids import FeatureGrid, cells_to_normalized
 from softalign.matching import CorrelationTensor, correlate
 from softalign.softinlier import (
     FilteredScores,
     ScoreBreakdown,
     default_threshold,
-    hard_inlier_count,
-    identity_mask,
-    soft_inlier_count,
-    warp_mask,
+    hard_inliers,
+    score_breakdown,
 )
 
 ADAM_EPS = 1e-8
@@ -247,10 +244,9 @@ def fit_direct(f_s: FeatureGrid, f_t: FeatureGrid, cfg: FitConfig | None = None)
             best = (c_end, restart, g, stage, trace)
 
     c_best, restart_idx, g_best, stage_best, trace_best = best
-    m_id = identity_mask(f_s.h, f_s.w, t)
     if c_best <= 0.0:
         T = Transform.identity(cfg.family)
-        breakdown = soft_inlier_count(s, warp_mask(m_id, T))
+        breakdown = score_breakdown(s, T, t)
         return AlignmentResult(
             transform=T,
             c=breakdown.c,
@@ -260,13 +256,12 @@ def fit_direct(f_s: FeatureGrid, f_t: FeatureGrid, cfg: FitConfig | None = None)
             no_signal=True,
         )
     T = _build_transform(stage_best, g_best, cfg.control_grid)
-    breakdown = soft_inlier_count(s, warp_mask(m_id, T))
     return AlignmentResult(
         transform=T,
         c=c_best,
         trace=tuple(trace_best),
         restart_index=restart_idx,
-        breakdown=breakdown,
+        breakdown=score_breakdown(s, T, t),
     )
 
 
@@ -276,34 +271,34 @@ def fit_direct(f_s: FeatureGrid, f_t: FeatureGrid, cfg: FitConfig | None = None)
 MINIMAL_SAMPLE = {"affine": 3, "homography": 4}
 
 
+#: hypotheses verified per array pass in :func:`fit_ransac`; bounds the
+#: ``(block, candidates)`` temporaries
+VERIFY_BLOCK = 64
+
+
+def _candidate_cells(s: CorrelationTensor) -> tuple[np.ndarray, np.ndarray]:
+    """``(src, tgt)`` grid cells of :func:`candidate_matches`, ``(n, 2)`` each."""
+    h_s, w_s, h_t, w_t = s.data.shape
+    cols = s.data.reshape(h_s * w_s, h_t * w_t)
+    best = np.argmax(cols, axis=0)  # first index on ties
+    score = cols[best, np.arange(h_t * w_t)]
+    global_max = float(s.data.max())
+    tgt = np.flatnonzero(~((score <= 0.0) | (score < 0.5 * global_max)))
+    return np.stack(np.divmod(best[tgt], w_s), axis=1), np.stack(np.divmod(tgt, w_t), axis=1)
+
+
 def candidate_matches(s: CorrelationTensor) -> list[tuple[tuple[int, int], tuple[int, int]]]:
     """One candidate per target cell: its argmax source cell.
 
     Cells whose best score is zero or falls below half the tensor-wide
-    maximum are dropped as matchless.
+    maximum are dropped as matchless.  Candidates come in row-major
+    target order; a tie goes to the first source cell in row-major order.
     """
-    h_s, w_s, h_t, w_t = s.data.shape
-    global_max = float(s.data.max())
-    out = []
-    for k in range(h_t):
-        for l in range(w_t):
-            col = s.data[:, :, k, l]
-            flat = int(np.argmax(col))
-            score = float(col.flat[flat])
-            if score <= 0.0 or score < 0.5 * global_max:
-                continue
-            i, j = np.unravel_index(flat, (h_s, w_s))
-            out.append(((int(i), int(j)), (k, l)))
-    return out
+    return _as_matches(*_candidate_cells(s))
 
 
-def _match_coords(matches, shape):
-    h_s, w_s, h_t, w_t = shape
-    src = np.array([m[0] for m in matches], dtype=np.float64)
-    tgt = np.array([m[1] for m in matches], dtype=np.float64)
-    sx, sy = cells_to_normalized(src[:, 0], src[:, 1], h_s, w_s)
-    tx, ty = cells_to_normalized(tgt[:, 0], tgt[:, 1], h_t, w_t)
-    return np.stack([sx, sy], axis=1), np.stack([tx, ty], axis=1)
+def _as_matches(src: np.ndarray, tgt: np.ndarray) -> list:
+    return [((i, j), (k, l)) for (i, j), (k, l) in zip(src.tolist(), tgt.tolist())]
 
 
 def _affine_from_matches(src: np.ndarray, tgt: np.ndarray) -> Transform:
@@ -355,9 +350,12 @@ def fit_ransac(
 ) -> AlignmentResult:
     """Hypothesize-and-verify estimation from correlation argmax matches.
 
-    Samples minimal match subsets, fits a transform, scores it by the hard
-    inlier count over all candidates, and finally refits on the best
-    hypothesis' inliers (kept only if it scores at least as well).
+    Samples minimal match subsets and solves each for a transform, then
+    scores every hypothesis by the hard inlier count over all candidates,
+    :data:`VERIFY_BLOCK` hypotheses per array pass, and finally refits on
+    the best hypothesis' inliers (kept only if it scores at least as
+    well).  The result equals that of sampling, solving and counting one
+    hypothesis at a time.
     """
     if family not in MINIMAL_SAMPLE:
         raise ValueError(f"family must be one of {sorted(MINIMAL_SAMPLE)}")
@@ -368,57 +366,67 @@ def fit_ransac(
         raise ValueError("ransac scoring needs equal source/target grid shapes")
     if t is None:
         t = default_threshold(h_s, w_s)
-    if t <= 0:
+    if not t > 0:
         raise ValueError("threshold must be > 0")
 
-    matches = candidate_matches(s)
+    src_cells, tgt_cells = _candidate_cells(s)
+    n = len(src_cells)
     k = MINIMAL_SAMPLE[family]
-    if len(matches) < k:
-        raise ValueError(
-            f"insufficient matches: {len(matches)} candidates, need >= {k}"
-        )
-    src_all, tgt_all = _match_coords(matches, s.data.shape)
+    if n < k:
+        raise ValueError(f"insufficient matches: {n} candidates, need >= {k}")
+    src_xy = np.stack(cells_to_normalized(src_cells[:, 0], src_cells[:, 1], h_s, w_s), axis=1)
+    tgt_xy = np.stack(cells_to_normalized(tgt_cells[:, 0], tgt_cells[:, 1], h_t, w_t), axis=1)
 
+    def verify(params: np.ndarray) -> np.ndarray:
+        """``(B, n)`` inlier decisions of the hypotheses in ``params``."""
+        return hard_inliers(*apply_many(family, params, tgt_xy), src_cells, t, h_s, w_s)
+
+    # Hypothesize: one seeded draw and one exact solve per iteration.
     rng = np.random.default_rng(seed)
-    best_T = None
-    best_count = -1
-    best_inliers: list = []
-    trace = []
-    for _ in range(iters):
-        pick = rng.choice(len(matches), size=k, replace=False)
+    solved, hypotheses = [], []
+    for it in range(iters):
+        pick = rng.choice(n, size=k, replace=False)
         try:
-            T = _solve_transform(family, src_all[pick], tgt_all[pick])
+            hypotheses.append(_solve_transform(family, src_xy[pick], tgt_xy[pick]))
         except (ValueError, np.linalg.LinAlgError):
-            trace.append(float(max(best_count, 0)))
             continue
-        count, inliers = hard_inlier_count(matches, T, t, h_s, w_s)
-        if count > best_count:
-            best_T, best_count, best_inliers = T, count, inliers
-        trace.append(float(best_count))
-    if best_T is None:
+        solved.append(it)
+    if not hypotheses:
         raise ValueError("insufficient matches: no non-degenerate sample found")
 
+    # Verify every hypothesis, a block at a time.  The first best count
+    # wins, as a strict > would; a degenerate sample counts -1 in the trace.
+    params = np.array([T.params for T in hypotheses])
+    counts = np.empty(len(hypotheses), dtype=np.int64)
+    for b in range(0, len(hypotheses), VERIFY_BLOCK):
+        block = slice(b, b + VERIFY_BLOCK)
+        counts[block] = np.count_nonzero(verify(params[block]), axis=1)
+    by_iteration = np.full(iters, -1, dtype=np.int64)
+    by_iteration[solved] = counts
+    trace = np.maximum(np.maximum.accumulate(by_iteration), 0).astype(np.float64)
+    winner = int(np.argmax(counts))
+    best_T, best_count = hypotheses[winner], int(counts[winner])
+    best = np.flatnonzero(verify(params[winner : winner + 1])[0])
+
     # Least-squares refit on the winning hypothesis' inliers.
-    if len(best_inliers) >= k:
-        idx = [matches.index(m) for m in best_inliers]
+    if len(best) >= k:
         try:
-            refit = _solve_transform(family, src_all[idx], tgt_all[idx])
-            count, inliers = hard_inlier_count(matches, refit, t, h_s, w_s)
-            if count >= best_count:
-                best_T, best_count, best_inliers = refit, count, inliers
+            refit = _solve_transform(family, src_xy[best], tgt_xy[best])
+            refit_inliers = np.flatnonzero(verify(refit.params[None])[0])
+            if len(refit_inliers) >= best_count:
+                best_T, best_count, best = refit, len(refit_inliers), refit_inliers
         except (ValueError, np.linalg.LinAlgError):
             pass
 
-    m_id = identity_mask(h_s, w_s, t)
-    breakdown = soft_inlier_count(s, warp_mask(m_id, best_T))
+    breakdown = score_breakdown(s, best_T, t)
     return AlignmentResult(
         transform=best_T,
         c=breakdown.c,
-        trace=tuple(trace),
+        trace=tuple(trace.tolist()),
         restart_index=0,
         breakdown=breakdown,
-        inlier_count=int(best_count),
-        inliers=tuple(best_inliers),
+        inlier_count=best_count,
+        inliers=tuple(_as_matches(src_cells[best], tgt_cells[best])),
     )
 
 

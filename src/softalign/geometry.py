@@ -206,34 +206,56 @@ def make_tps(displacements, control_grid: int = 3) -> Transform:
     return Transform(TPS, d, control_grid=control_grid)
 
 
-def apply(T: Transform, pts) -> np.ndarray:
-    """Map an ``(n, 2)`` array (or list) of (x, y) points through ``T``."""
+def _affine_map(g, x, y):
+    return g[0] * x + g[1] * y + g[2], g[3] * x + g[4] * y + g[5]
+
+
+def _homography_map(g, x, y):
+    den = g[6] * x + g[7] * y + 1.0
+    small = np.abs(den) < DEGENERACY_EPS
+    if small.any():
+        i = int(np.argmax(small)) % x.size  # first parameter row, first point
+        raise ValueError(
+            f"homography denominator ~ 0 at point ({x[i]:g}, {y[i]:g})"
+        )
+    return (g[0] * x + g[1] * y + g[2]) / den, (g[3] * x + g[4] * y + g[5]) / den
+
+
+_PARAMETRIC_MAPS = {AFFINE: _affine_map, HOMOGRAPHY: _homography_map}
+
+
+def _check_points(pts) -> np.ndarray:
     pts = np.asarray(pts, dtype=np.float64)
     if pts.ndim != 2 or pts.shape[1] != 2:
         raise ValueError(f"expected (n, 2) points, got shape {pts.shape}")
     if not np.isfinite(pts).all():
         raise ValueError("points must be finite")
-    x, y = pts[:, 0], pts[:, 1]
-    g = T.params
+    return pts
 
-    if T.family == AFFINE:
-        xp = g[0] * x + g[1] * y + g[2]
-        yp = g[3] * x + g[4] * y + g[5]
-        return np.stack([xp, yp], axis=1)
 
-    if T.family == HOMOGRAPHY:
-        den = g[6] * x + g[7] * y + 1.0
-        small = np.abs(den) < DEGENERACY_EPS
-        if small.any():
-            i = int(np.argmax(small))
-            raise ValueError(
-                f"homography denominator ~ 0 at point ({x[i]:g}, {y[i]:g})"
-            )
-        xp = (g[0] * x + g[1] * y + g[2]) / den
-        yp = (g[3] * x + g[4] * y + g[5]) / den
-        return np.stack([xp, yp], axis=1)
+def apply(T: Transform, pts) -> np.ndarray:
+    """Map an ``(n, 2)`` array (or list) of (x, y) points through ``T``."""
+    pts = _check_points(pts)
+    if T.family == TPS:
+        return T._tps.evaluate(pts)
+    xp, yp = _PARAMETRIC_MAPS[T.family](T.params, pts[:, 0], pts[:, 1])
+    return np.stack([xp, yp], axis=1)
 
-    return T._tps.evaluate(pts)
+
+def apply_many(family: str, params, pts) -> tuple[np.ndarray, np.ndarray]:
+    """Map points through a stack of affine or homography parameter vectors.
+
+    ``params`` is ``(B, K)``, one vector per row; returns ``(x', y')``,
+    each ``(B, n)``.  Row ``b`` is bit-identical to
+    ``apply(Transform(family, params[b]), pts)``, and a vanishing
+    homography denominator raises the same ``ValueError``, for the first
+    row that has one.
+    """
+    if family not in _PARAMETRIC_MAPS:
+        raise ValueError(f"apply_many maps affine or homography, not {family!r}")
+    pts = _check_points(pts)
+    g = np.asarray(params, dtype=np.float64).T[:, :, None]  # g[i] is a (B, 1) column
+    return _PARAMETRIC_MAPS[family](g, pts[:, 0], pts[:, 1])
 
 
 def jacobian_many(T: Transform, pts) -> np.ndarray:
@@ -457,6 +479,20 @@ def bilinear_sample_backward(img, grid, upstream) -> tuple[np.ndarray, np.ndarra
     return grad_img, grad_coords
 
 
+def lattice_cells(points):
+    """Top-left lattice corner ``(u0, v0)`` of every (u, v) point, plus fractions.
+
+    Coordinates within :data:`LATTICE_SNAP_EPS` of a knot are snapped onto
+    it first; every gather sampler shares this corner convention.
+    """
+    pts = _coerce_coords(points)
+    u = _snap(pts[:, 0])
+    v = _snap(pts[:, 1])
+    u0 = np.floor(u).astype(np.int64)
+    v0 = np.floor(v).astype(np.int64)
+    return u0, v0, u - u0, v - v0
+
+
 def padded_corners(points, h: int, w: int):
     """Flat gather indices of the four bilinear corners, plus fractions.
 
@@ -465,13 +501,7 @@ def padded_corners(points, h: int, w: int):
     out-of-range corner clips onto a zero border cell, so no validity
     masks are needed.  Returns ``((i00, i01, i10, i11), du, dv)``.
     """
-    pts = _coerce_coords(points)
-    u = _snap(pts[:, 0])
-    v = _snap(pts[:, 1])
-    u0 = np.floor(u).astype(np.int64)
-    v0 = np.floor(v).astype(np.int64)
-    du = u - u0
-    dv = v - v0
+    u0, v0, du, dv = lattice_cells(points)
     ui = np.clip(u0 + 1, 0, h + 1)
     vi = np.clip(v0 + 1, 0, w + 1)
     ui1 = np.clip(u0 + 2, 0, h + 1)

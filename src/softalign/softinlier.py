@@ -31,7 +31,12 @@ with zero padding.  ``S_t`` does not depend on ``T``, so it is built
 once per pair from a few shifted adds (at ``t <= 1`` it is ``s`` itself),
 and every later score or gradient is an O(hw) gather of four corners
 per target cell instead of an O((hw)^2) mask warp.  The two paths agree
-to rounding; on whole-cell shifts both are exact.
+to rounding; on whole-cell shifts both are exact.  The per-match
+:class:`ScoreBreakdown` of a fit comes from :func:`score_breakdown`,
+which evaluates the warped mask on its nonzero window only.
+
+The hard count of RANSAC (:func:`hard_inlier_count`) rests on one rule,
+:func:`hard_inliers`, which decides many hypotheses in one array pass.
 
 Mask values are used as-is (fractional, in [0, 1]); softness comes only
 from interpolation, never from re-binarization or sigmoid smoothing.
@@ -157,16 +162,70 @@ def soft_inlier_count(
 
     flat = prod.ravel()
     pos = np.flatnonzero(flat > 0.0)
-    inliers = []
-    if pos.size:
-        i, j, k, l = np.unravel_index(pos, prod.shape)
-        wts = flat[pos]
-        order = np.lexsort((j, i, l, k, -wts))[: max(top_k, 0)]
-        inliers = [
-            ((int(i[o]), int(j[o])), (int(k[o]), int(l[o])), float(wts[o]))
-            for o in order
-        ]
+    inliers = _top_inliers(*np.unravel_index(pos, prod.shape), flat[pos], top_k)
     return ScoreBreakdown(c=c, contributions=contributions, inliers=inliers)
+
+
+def _top_inliers(i, j, k, l, wts, top_k: int) -> list:
+    """The positive-weight matches, strongest first, ties by (k, l, i, j)."""
+    pos = wts > 0.0
+    i, j, k, l, wts = i[pos], j[pos], k[pos], l[pos], wts[pos]
+    order = np.lexsort((j, i, l, k, -wts))[: max(top_k, 0)]
+    return [
+        ((int(i[o]), int(j[o])), (int(k[o]), int(l[o])), float(wts[o]))
+        for o in order
+    ]
+
+
+#: lattice corner offsets in :func:`geometry.bilinear_blend`'s argument order
+_CORNERS = ((0, 0), (0, 1), (1, 0), (1, 1))
+
+
+def score_breakdown(
+    s: CorrelationTensor, T: geometry.Transform, t: float, top_k: int = 32
+) -> ScoreBreakdown:
+    """``soft_inlier_count(s, warp_mask(identity_mask(h, w, t), T), top_k)``
+    without the dense mask.
+
+    Slice (k, l) of the warped mask blends the radius-``t`` disks around
+    the four lattice corners of ``T``'s source point for (k, l), so it is
+    zero outside the source cells within ``t`` of those corners.  This
+    evaluates the same blend, with the same corner values and fractions,
+    on that window only: the inlier weights are bit-identical to the
+    dense path's, and ``c`` and ``contributions`` agree with it to
+    rounding (only the summation order differs).
+    """
+    if not t > 0.0:
+        raise ValueError(f"threshold must be positive, got {t}")
+    h, w = s.source_shape
+    if s.target_shape != (h, w):
+        raise ValueError(f"source and target grids must match, got {s.data.shape}")
+    # window offsets (a, b) from the top-left corner, and whether each of
+    # the four corners' disks covers them; no disk reaches past the grid
+    r = int(min(t, max(h, w)))
+    span = np.arange(-r, r + 2)
+    a, b = (m.ravel() for m in np.meshgrid(span, span, indexing="ij"))
+    covers = np.stack([(a - ci) ** 2 + (b - cj) ** 2 < t * t for ci, cj in _CORNERS])
+    window = covers.any(axis=0)
+    a, b, covers = a[window], b[window], covers[:, window]
+
+    uv = geometry.transform_sampling_grid(T, (h, w)).uv.reshape(-1, 2)
+    u0, v0, du, dv = geometry.lattice_cells(uv)
+    corner_ok = [
+        (u0 + ci >= 0) & (u0 + ci < h) & (v0 + cj >= 0) & (v0 + cj < w) for ci, cj in _CORNERS
+    ]
+    ii = u0 + a[:, None]  # (window, target cell)
+    jj = v0 + b[:, None]
+    inside = (ii >= 0) & (ii < h) & (jj >= 0) & (jj < w)
+    corners = [(cov[:, None] & ok).astype(np.float64) for cov, ok in zip(covers, corner_ok)]
+    mask = np.clip(geometry.bilinear_blend(*corners, du, dv), 0.0, 1.0)
+
+    cells = np.broadcast_to(np.arange(h * w), ii.shape)[inside]
+    ii, jj = ii[inside], jj[inside]
+    wts = s.data.reshape(-1)[(ii * w + jj) * (h * w) + cells] * mask[inside]
+    contributions = np.bincount(cells, weights=wts, minlength=h * w).reshape(h, w)
+    inliers = _top_inliers(ii, jj, cells // w, cells % w, wts, top_k)
+    return ScoreBreakdown(c=float(np.sum(wts)), contributions=contributions, inliers=inliers)
 
 
 def _target_points(h: int, w: int) -> np.ndarray:
@@ -300,6 +359,19 @@ class ScoreSample:
         return _chain_to_params(self.T, self._filtered.points, dc_du, dc_dv, h, w)
 
 
+def hard_inliers(mapped_x, mapped_y, src: np.ndarray, t: float, h: int, w: int) -> np.ndarray:
+    """The hard inlier rule, for N matches under B hypotheses at once.
+
+    ``mapped_x``/``mapped_y`` are ``(B, N)`` normalized source points: the
+    target ends of the matches mapped through each hypothesis.  ``src``
+    is the ``(N, 2)`` source ends in grid units on an ``h x w`` lattice.
+    Entry ``[b, n]`` is true when match n's source point lies strictly
+    within ``t`` of its mapped target point under hypothesis b.
+    """
+    u, v = normalized_to_cells(mapped_x, mapped_y, h, w)
+    return np.hypot(src[:, 0] - u, src[:, 1] - v) < t
+
+
 def hard_inlier_count(
     matches, T: geometry.Transform, t: float, h: int, w: int
 ) -> tuple[int, list]:
@@ -309,7 +381,7 @@ def hard_inlier_count(
     grid units on an ``h x w`` lattice (the dims are needed to express the
     normalized-coordinate transform in grid units).  Counts matches whose
     source point lies strictly within ``t`` of the warped target point and
-    returns them.
+    returns them: :func:`hard_inliers` for a batch of one.
     """
     if t <= 0.0:
         raise ValueError(f"threshold must be positive, got {t}")
@@ -319,8 +391,5 @@ def hard_inlier_count(
     tgt = np.array([m[1] for m in matches], dtype=np.float64)
     x, y = cells_to_normalized(tgt[:, 0], tgt[:, 1], h, w)
     mapped = geometry.apply(T, np.stack([x, y], axis=1))
-    u, v = normalized_to_cells(mapped[:, 0], mapped[:, 1], h, w)
-    dist = np.hypot(src[:, 0] - u, src[:, 1] - v)
-    keep = dist < t
-    inliers = [m for m, k in zip(matches, keep) if k]
-    return int(np.count_nonzero(keep)), inliers
+    keep = hard_inliers(mapped[None, :, 0], mapped[None, :, 1], src, t, h, w)[0]
+    return int(np.count_nonzero(keep)), [matches[n] for n in np.flatnonzero(keep)]

@@ -170,6 +170,31 @@ class TestEval:
         assert "neither a PGM" in by_id["bad"]["error"]
         assert report["aggregate"]["n_failed"] == 1
 
+    @pytest.mark.parametrize("sizes", [5, "64 64 64 64", [64, 64, 64], [64, 64, 0, 64],
+                                       [64, 64, 64.5, 64], [64, True, 64, 64], ["64", 64, 64, 64]])
+    def test_bad_sizes_exit_2_naming_the_line(self, tmp_path, capsys, sizes):
+        ds = make_dataset(tmp_path, n=1)
+        good = {"id": "p0", "source": str(ds / "pair0000_src.fgrid"),
+                "target": str(ds / "pair0000_tgt.fgrid"), "sizes": [48, 48, 48, 48]}
+        bad = dict(good, id="p1", sizes=sizes)
+        manifest = tmp_path / "m.jsonl"
+        manifest.write_text(json.dumps(good) + "\n" + json.dumps(bad) + "\n")
+        assert run(["eval", manifest, "--out", tmp_path / "r.json"]) == 2
+        err = capsys.readouterr().err
+        assert f"{manifest}:2:" in err and "'sizes'" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "r.json").exists()
+
+    @pytest.mark.parametrize("key", ["source", "keypoints"])
+    def test_non_string_path_exits_2(self, tmp_path, capsys, key):
+        ds = make_dataset(tmp_path, n=1)
+        rec = {"id": "p0", "source": str(ds / "pair0000_src.fgrid"),
+               "target": str(ds / "pair0000_tgt.fgrid"), key: 5}
+        manifest = tmp_path / "m.jsonl"
+        manifest.write_text(json.dumps(rec) + "\n")
+        assert run(["eval", manifest]) == 2
+        assert f"{manifest}:1: '{key}' must be a path string" in capsys.readouterr().err
+
     def test_all_pairs_failing_exits_2(self, tmp_path, capsys):
         notes = tmp_path / "notes.txt"
         notes.write_text("still not a grid\n")
@@ -240,6 +265,23 @@ class TestTrain:
         report = load_report(out)
         assert len(report["result"]["trace"]) == 2
         assert report["result"]["n_pairs"] == 2
+
+    @pytest.mark.parametrize("line", ["[1, 2]", "7", '"pair"', "null"])
+    def test_non_object_line_exits_2(self, tmp_path, capsys, line):
+        ds = make_dataset(tmp_path, n=1)
+        manifest = ds / "m.jsonl"  # a valid line, a blank one, then the bad one
+        manifest.write_text((ds / "pairs.jsonl").read_text() + "\n" + line + "\n")
+        ckpt = tmp_path / "model.json"
+        assert run(["train", manifest, "--epochs", 1, "--checkpoint", ckpt]) == 2
+        err = capsys.readouterr().err
+        assert f"{manifest}:3: pair record must be a JSON object" in err
+        assert not ckpt.exists()
+
+    def test_non_string_path_exits_2(self, tmp_path, capsys):
+        manifest = tmp_path / "m.jsonl"
+        manifest.write_text(json.dumps({"source": 5, "target": "b.fgrid"}) + "\n")
+        assert run(["train", manifest, "--checkpoint", tmp_path / "model.json"]) == 2
+        assert f"{manifest}:1: source and target must be path strings" in capsys.readouterr().err
 
     def test_eval_manifest_also_accepted(self, tmp_path):
         ds = make_dataset(tmp_path, n=1)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from helpers import random_normalized
+from helpers import candidate_matches_loop, random_normalized, ransac_reference
 from softalign import fit
 from softalign.features import GrayImage, extract_descriptors, render_warped, synth_pair, synthetic_image
 from softalign.fit import (
@@ -297,6 +297,95 @@ class TestFitRansac:
         s = translation_tensor(6, 6, 0, 0, [(k, l) for k in range(6) for l in range(6)])
         with pytest.raises(ValueError, match="family"):
             fit_ransac(s, "tps", t=0.5, iters=10, seed=0)
+
+    def test_candidate_matches_match_the_column_loop(self):
+        rng = np.random.default_rng(41)
+        for h_s, w_s, h_t, w_t in ((6, 6, 6, 6), (5, 7, 4, 6)):
+            # few distinct levels: many ties, all-zero columns, columns
+            # below half the maximum
+            data = rng.integers(0, 4, size=(h_s, w_s, h_t, w_t)).astype(np.float64)
+            data[:, :, 1, 2] = 0.0
+            data[:, :, 0, 3] = np.minimum(data[:, :, 0, 3], 1.0)
+            data *= rng.random((h_s, w_s, h_t, w_t)) < 0.3
+            s = CorrelationTensor(data)
+            got = candidate_matches(s)
+            assert got == candidate_matches_loop(s)
+            assert all(tgt != (1, 2) for _, tgt in got)
+            assert all(type(v) is int for m in got for cell in m for v in cell)
+        assert candidate_matches(CorrelationTensor(np.zeros((3, 3, 3, 3)))) == []
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_matches_per_hypothesis_loop_on_criterion_5_pairs(self, seed):
+        pair = synth_pair(
+            synthetic_image(1000 + seed, 64, 64), "affine", 1.0, 16, 16, seed=seed,
+            rotation_max_deg=30.0, scale_range=(0.8, 1.25), translation_max=0.25,
+        )
+        s = correlate(pair.source, pair.target)
+        for t in (None, 1.5):
+            self._assert_same_as_reference(s, "affine", t, 500, seed)
+            # every homography fit of these pairs meets a hypothesis whose
+            # denominator vanishes at a candidate, which raises in both
+            self._assert_same_as_reference(s, "homography", t, 500, seed)
+
+    @pytest.mark.parametrize("family", ["affine", "homography"])
+    def test_matches_per_hypothesis_loop_on_translation_tensors(self, family):
+        h = w = 10
+        targets = [(k, l) for k in range(8) for l in range(7)]
+        clean = translation_tensor(h, w, 1, 2, targets)
+        rng = np.random.default_rng(5)
+        noisy = clean.data.copy()
+        for k, l in targets[::3]:  # a third of the matches become outliers
+            noisy[:, :, k, l] = 0.0
+            noisy[rng.integers(0, h), rng.integers(0, w), k, l] = 1.0
+        for s in (clean, CorrelationTensor(noisy)):
+            for seed in range(3):
+                self._assert_same_as_reference(s, family, 0.5, 80, seed)
+
+    def test_matches_per_hypothesis_loop_with_degenerate_samples(self):
+        # source cells on one row: most samples are degenerate, a few
+        # survive by rounding, and some runs start with degenerate draws
+        s = np.zeros((8, 8, 8, 8))
+        for n, (k, l) in enumerate([(0, 0), (0, 5), (5, 0), (7, 6), (2, 7), (6, 3)]):
+            s[3, n, k, l] = 1.0
+        s = CorrelationTensor(s)
+        starts = []
+        for seed in range(6):
+            self._assert_same_as_reference(s, "affine", 0.5, 50, seed)
+            try:
+                starts.append(fit_ransac(s, "affine", t=0.5, iters=50, seed=seed).trace[0])
+            except ValueError:
+                pass
+        assert 0.0 in starts  # a degenerate first draw is traced as 0
+
+    @pytest.mark.parametrize("family", ["affine", "homography"])
+    def test_collinear_candidates_raise_as_the_loop_does(self, family):
+        s = np.zeros((8, 8, 8, 8))
+        for n, (k, l) in enumerate([(0, 0), (0, 5), (5, 0), (7, 6)]):
+            s[3, 2 * n, k, l] = 1.0  # every source cell on row 3
+        s = CorrelationTensor(s)
+        for seed in range(5):
+            with pytest.raises(ValueError, match="no non-degenerate sample"):
+                ransac_reference(s, family, 0.5, 50, seed)
+            with pytest.raises(ValueError, match="no non-degenerate sample"):
+                fit_ransac(s, family, t=0.5, iters=50, seed=seed)
+
+    @staticmethod
+    def _assert_same_as_reference(s, family, t, iters, seed):
+        try:
+            ref = ransac_reference(s, family, t, iters, seed)
+        except ValueError as exc:
+            with pytest.raises(ValueError) as got:
+                fit_ransac(s, family, t=t, iters=iters, seed=seed)
+            assert str(got.value) == str(exc)
+            return
+        res = fit_ransac(s, family, t=t, iters=iters, seed=seed)
+        T, count, inliers, trace, c = ref
+        assert res.transform.family == T.family
+        np.testing.assert_array_equal(res.transform.params, T.params)
+        assert res.inlier_count == count
+        assert res.inliers == inliers
+        assert res.trace == trace
+        assert res.c == c
 
     def test_trace_is_best_so_far(self):
         h = w = 10

@@ -7,6 +7,7 @@ from softalign.geometry import (
     SamplingGrid,
     Transform,
     apply,
+    apply_many,
     bilinear_sample,
     bilinear_sample_backward,
     bilinear_sample_stack,
@@ -137,6 +138,30 @@ class TestApply:
         T = Transform.homography([1, 0, 0, 0, 1, 0, 1.0, 0])
         with pytest.raises(ValueError, match="-1"):
             apply(T, [(0.0, 0.0), (-1.0, 0.0)])
+
+    @pytest.mark.parametrize("family", ["affine", "homography"])
+    def test_apply_many_rows_equal_apply_bitwise(self, family):
+        rng = np.random.default_rng(12)
+        pts = rng.uniform(-1.2, 1.2, size=(40, 2))
+        params = np.array([random_transform(rng, family).params for _ in range(7)])
+        xp, yp = apply_many(family, params, pts)
+        assert xp.shape == yp.shape == (7, 40)
+        for b, g in enumerate(params):
+            np.testing.assert_array_equal(np.stack([xp[b], yp[b]], axis=1),
+                                          apply(Transform(family, g), pts))
+
+    def test_apply_many_raises_for_first_vanishing_row(self):
+        pts = np.array([(0.0, 0.0), (-1.0, 0.0), (0.5, 0.0)])
+        good = [1, 0, 0, 0, 1, 0, 0.1, 0]
+        rows = [good, [1, 0, 0, 0, 1, 0, -2.0, 0], [1, 0, 0, 0, 1, 0, 1.0, 0]]
+        with pytest.raises(ValueError) as single:
+            apply(Transform.homography(rows[1]), pts)
+        with pytest.raises(ValueError) as many:
+            apply_many("homography", np.array(rows), pts)
+        assert str(many.value) == str(single.value)
+        assert "(0.5, 0)" in str(many.value)
+        with pytest.raises(ValueError, match="affine or homography"):
+            apply_many("tps", np.zeros((1, 18)), pts)
 
     def test_bad_point_shapes(self):
         T = Transform.identity("affine")

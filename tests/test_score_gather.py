@@ -1,10 +1,13 @@
-"""The filtered-score gather against the dense mask warp it replaces.
+"""The filtered-score gather and the windowed breakdown against the dense
+mask warp they replace.
 
 ``FilteredScores`` scores a transform by sampling ``S_t`` (the correlation
 summed over radius-``t`` source disks) at one point per target cell; the
 reference is the dense path, ``sum(s * warp_mask(identity_mask, T))`` and
 ``soft_inlier_grad``.  The two sum in different orders, so they agree to
 rounding, except on whole-cell shifts, where both are exact.
+``score_breakdown`` evaluates the warped mask on its nonzero window only;
+its per-match weights equal the dense ones exactly.
 """
 
 import numpy as np
@@ -21,6 +24,8 @@ from softalign.softinlier import (
     default_threshold,
     hard_inlier_count,
     identity_mask,
+    score_breakdown,
+    soft_inlier_count,
     soft_inlier_grad,
     warp_mask,
 )
@@ -90,6 +95,38 @@ def test_gather_matches_dense(grid, t, family):
         )
         if name == "wholly-off":
             assert sample.c == 0.0
+
+
+BREAKDOWN_GRIDS = [(8, 8), (6, 9)]
+
+
+@pytest.mark.parametrize("grid", BREAKDOWN_GRIDS, ids=[f"{h}x{w}" for h, w in BREAKDOWN_GRIDS])
+@pytest.mark.parametrize("t", THRESHOLDS + [float("inf")])
+@pytest.mark.parametrize("family", FAMILIES)
+def test_breakdown_matches_dense(grid, t, family):
+    h, w = grid
+    rng = np.random.default_rng([h, w, 7, FAMILIES.index(family)])
+    t = _threshold(t, h, w)
+    m_id = identity_mask(h, w, t)
+    real = correlate(random_normalized(rng, h, w, 8), random_normalized(rng, h, w, 8))
+    ties = CorrelationTensor((rng.random((h, w, h, w)) < 0.2).astype(np.float64))
+    for s in (real, ties):
+        for name, T in _transforms(rng, family, h, w).items():
+            ref = soft_inlier_count(s, warp_mask(m_id, T), top_k=(h * w) ** 2)
+            got = score_breakdown(s, T, t, top_k=(h * w) ** 2)
+            assert got.inliers == ref.inliers, name
+            assert got.c == pytest.approx(ref.c, rel=REL, abs=0.0), name
+            np.testing.assert_allclose(got.contributions, ref.contributions, rtol=REL, atol=0.0,
+                                       err_msg=name)
+            assert score_breakdown(s, T, t).inliers == soft_inlier_count(s, warp_mask(m_id, T)).inliers
+
+
+def test_breakdown_rejects_bad_inputs():
+    with pytest.raises(ValueError, match="must match"):
+        score_breakdown(CorrelationTensor(np.zeros((3, 3, 3, 4))), Transform.identity("affine"), 1.0)
+    for t in (0.0, -1.0, float("nan")):
+        with pytest.raises(ValueError, match="positive"):
+            score_breakdown(CorrelationTensor(np.zeros((3, 3, 3, 3))), Transform.identity("affine"), t)
 
 
 @pytest.mark.parametrize("t", [0.5, 1.0, 1.5, 2.2, 3.7, float("inf")])
