@@ -10,7 +10,8 @@ Layout
 ------
 grids       feature-grid container, coordinate conventions, FGRID text I/O
 matching    normalized correlation volumes and their backward pass
-geometry    affine / homography / thin-plate-spline transforms, bilinear sampling
+geometry    affine / homography / thin-plate-spline transforms, the one
+            target-to-source cell map and the one (padded-gather) bilinear sampler
 softinlier  inlier masks, soft/hard inlier counts, score gradients
 fit         direct score ascent, RANSAC baseline, 2-D line-fitting demo
 weaktrain   weakly-supervised transform regressor (matching pairs only)

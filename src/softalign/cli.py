@@ -43,6 +43,7 @@ import argparse
 import json
 import os
 import sys
+import tempfile
 import time
 from datetime import datetime, timezone
 from importlib import resources
@@ -113,10 +114,21 @@ def _emit_report(report: dict, out: str | None, summary: str | None = None) -> N
     if out is None:
         sys.stdout.write(text)
         return
-    tmp = out + ".tmp"
-    with open(tmp, "w", encoding="ascii") as fh:
-        fh.write(text)
-    os.replace(tmp, out)
+    # a unique temp file beside ``out``, so concurrent runs do not clash
+    # and a failed write or rename leaves nothing behind
+    fd, tmp = tempfile.mkstemp(
+        prefix=os.path.basename(out) + ".", suffix=".tmp", dir=os.path.dirname(out) or "."
+    )
+    umask = os.umask(0)
+    os.umask(umask)
+    try:
+        with os.fdopen(fd, "w", encoding="ascii") as fh:
+            os.fchmod(fd, 0o666 & ~umask)  # the mode open() would have given
+            fh.write(text)
+        os.replace(tmp, out)
+    except BaseException:
+        os.unlink(tmp)
+        raise
     if summary:
         print(f"{summary} -> {out}")
 

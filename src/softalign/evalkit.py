@@ -27,7 +27,6 @@ import numpy as np
 
 from softalign import geometry
 from softalign.features import GrayImage
-from softalign.grids import cells_to_normalized, normalized_to_cells
 
 PROTOCOLS = ("pfpascal", "tss")
 
@@ -168,13 +167,7 @@ def mask_iou(
     src = (src_mask.data >= 0.5).astype(np.float64)
     tgt = tgt_mask.data >= 0.5
 
-    ht_px, wt_px = tgt_mask.data.shape
-    hs_px, ws_px = src_mask.data.shape
-    rr, cc = np.meshgrid(np.arange(ht_px), np.arange(wt_px), indexing="ij")
-    x, y = cells_to_normalized(rr.ravel(), cc.ravel(), ht_px, wt_px)
-    mapped = geometry.apply(T, np.stack([x, y], axis=1))
-    u, v = normalized_to_cells(mapped[:, 0], mapped[:, 1], hs_px, ws_px)
-    coords = np.stack([u, v], axis=1).reshape(ht_px, wt_px, 2)
+    coords = geometry.transform_sampling_grid(T, src_mask.data.shape, tgt_mask.data.shape)
     warped = geometry.bilinear_sample(src, coords) >= 0.5
 
     inter = np.count_nonzero(warped & tgt)

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from softalign import geometry
-from softalign.grids import FeatureGrid, cells_to_normalized, normalized_to_cells
+from softalign.grids import FeatureGrid
 
 #: descriptor energy at or below this is treated as an empty cell
 ZERO_ENERGY_EPS = 1e-12
@@ -234,12 +234,7 @@ class SynthPair:
 
 def render_warped(img: GrayImage, T: geometry.Transform) -> GrayImage:
     """Render the target frame of ``img`` under target->source map ``T``."""
-    h, w = img.h, img.w
-    rr, cc = np.meshgrid(np.arange(h), np.arange(w), indexing="ij")
-    x, y = cells_to_normalized(rr.ravel(), cc.ravel(), h, w)
-    mapped = geometry.apply(T, np.stack([x, y], axis=1))
-    u, v = normalized_to_cells(mapped[:, 0], mapped[:, 1], h, w)
-    coords = np.stack([u, v], axis=1).reshape(h, w, 2)
+    coords = geometry.transform_sampling_grid(T, (img.h, img.w))
     return GrayImage(np.clip(geometry.bilinear_sample(img.data, coords), 0.0, 1.0))
 
 

@@ -69,7 +69,7 @@ class FitConfig:
             raise ValueError("restarts must be >= 1")
         if self.tol < 0:
             raise ValueError("tol must be >= 0")
-        if self.threshold is not None and self.threshold <= 0:
+        if self.threshold is not None and not self.threshold > 0:
             raise ValueError("threshold must be > 0")
         if self.stages is not None:
             if not self.stages or any(s not in FAMILIES for s in self.stages):
@@ -536,7 +536,7 @@ def fit_line_demo(
     n = len(points)
     if n < 2:
         raise ValueError("need at least 2 points")
-    if t <= 0:
+    if not t > 0:
         raise ValueError("threshold must be > 0")
     if mode not in ("ransac", "soft-grid"):
         raise ValueError(f"unknown mode {mode!r}")

@@ -23,19 +23,28 @@ regularization.  The solve happens once at construction and the resulting
 map is affine-linear in the displacement vector, which makes the parameter
 Jacobian a fixed basis evaluation.
 
-Bilinear sampling uses zero padding: coordinates outside
-``[0, h-1] x [0, w-1]`` contribute value 0, with partial blending for the
-cells straddling the border.  At integer knots the cell-membership
-convention is half-open, ``[n, n+1)``.
+One coordinate map takes target cells to source cells:
+:func:`cell_points` gives the normalized centres of a grid's cells, and
+:func:`source_cells` maps normalized points through ``T`` into continuous
+source-grid (u, v) units; :func:`transform_sampling_grid` composes the
+two for a whole target grid.
+
+One corner convention serves every bilinear sampler: :func:`lattice_cells`
+snaps a point within :data:`LATTICE_SNAP_EPS` of a knot onto it and takes
+the top-left corner of its half-open cell ``[n, n+1)``, and
+:func:`padded_corners` turns that corner into flat indices of the image
+held inside a one-cell zero border.  Every sampler is that padded gather
+followed by :func:`bilinear_blend` (or :func:`bilinear_slopes`), so
+coordinates outside ``[0, h-1] x [0, w-1]`` contribute value 0, with
+partial blending for the cells straddling the border.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from softalign.errors import InvariantError
+from softalign.grids import cells_to_normalized, normalized_to_cells
 
 AFFINE = "affine"
 HOMOGRAPHY = "homography"
@@ -309,67 +318,40 @@ def jacobian_many(T: Transform, pts) -> np.ndarray:
     return jac
 
 
-def jacobian(T: Transform, pt) -> np.ndarray:
-    """``(K, 2)`` Jacobian of the mapped point w.r.t. the parameters."""
-    return jacobian_many(T, np.asarray(pt, dtype=np.float64).reshape(1, 2))[0]
-
-
-def compose_affine(outer: Transform, inner: Transform) -> Transform:
-    """The affine map equivalent to applying ``inner`` then ``outer``."""
-    if outer.family != AFFINE or inner.family != AFFINE:
-        raise ValueError("compose_affine requires two affine transforms")
-    a, b = outer.params, inner.params
-    A2 = np.array([[a[0], a[1]], [a[3], a[4]]])
-    A1 = np.array([[b[0], b[1]], [b[3], b[4]]])
-    t2 = np.array([a[2], a[5]])
-    t1 = np.array([b[2], b[5]])
-    A = A2 @ A1
-    t = A2 @ t1 + t2
-    return Transform.affine([A[0, 0], A[0, 1], t[0], A[1, 0], A[1, 1], t[1]])
-
-
 # ---------------------------------------------------------------------------
 # Sampling grids and bilinear interpolation
 
 
-@dataclass
-class SamplingGrid:
-    """An ``(h2, w2, 2)`` array of continuous source-grid (u, v) coordinates."""
+def cell_points(h: int, w: int) -> np.ndarray:
+    """``(h*w, 2)`` normalized (x, y) centres of an h x w grid's cells, row-major."""
+    kk, ll = np.meshgrid(np.arange(h), np.arange(w), indexing="ij")
+    return np.stack(cells_to_normalized(kk.ravel(), ll.ravel(), h, w), axis=1)
 
-    uv: np.ndarray
 
-    def __post_init__(self) -> None:
-        self.uv = np.asarray(self.uv, dtype=np.float64)
-        if self.uv.ndim != 3 or self.uv.shape[2] != 2:
-            raise ValueError(f"sampling grid must be (h2, w2, 2), got {self.uv.shape}")
-        if not np.isfinite(self.uv).all():
-            raise ValueError("sampling grid contains non-finite coordinates")
+def source_cells(T: Transform, xy, h: int, w: int) -> np.ndarray:
+    """``(m, 2)`` continuous (u, v) cells of an h x w source grid that ``T``
+    maps the normalized points ``xy`` to."""
+    mapped = apply(T, xy)
+    return np.stack(normalized_to_cells(mapped[:, 0], mapped[:, 1], h, w), axis=1)
 
 
 def transform_sampling_grid(
     T: Transform,
     src_shape: tuple[int, int],
     tgt_shape: tuple[int, int] | None = None,
-) -> SamplingGrid:
-    """Source-grid sampling coordinates for every target cell under ``T``.
+) -> np.ndarray:
+    """``(th, tw, 2)`` source-grid (u, v) coordinates of every target cell under ``T``.
 
-    Each target cell center is converted to normalized coordinates (using
+    Each target cell centre is converted to normalized coordinates (using
     the target grid dimensions), mapped through ``T``, and converted to
     continuous source-grid units (using the source dimensions).
     """
-    from softalign.grids import cells_to_normalized, normalized_to_cells
-
-    h, w = src_shape
     th, tw = tgt_shape if tgt_shape is not None else src_shape
-    kk, ll = np.meshgrid(np.arange(th), np.arange(tw), indexing="ij")
-    x, y = cells_to_normalized(kk.ravel(), ll.ravel(), th, tw)
-    mapped = apply(T, np.stack([x, y], axis=1))
-    u, v = normalized_to_cells(mapped[:, 0], mapped[:, 1], h, w)
-    return SamplingGrid(np.stack([u, v], axis=1).reshape(th, tw, 2))
+    return source_cells(T, cell_points(th, tw), *src_shape).reshape(th, tw, 2)
 
 
 def _coerce_coords(grid) -> np.ndarray:
-    uv = grid.uv if isinstance(grid, SamplingGrid) else np.asarray(grid, dtype=np.float64)
+    uv = np.asarray(grid, dtype=np.float64)
     if uv.shape[-1] != 2:
         raise ValueError(f"coordinates must have a trailing axis of 2, got {uv.shape}")
     if not np.isfinite(uv).all():
@@ -405,89 +387,17 @@ def bilinear_slopes(c00, c01, c10, c11, du, dv):
     return d_du, d_dv
 
 
-def _corner_values(img: np.ndarray, u: np.ndarray, v: np.ndarray):
-    """The four cell-corner values under zero padding, plus fractions."""
-    h, w = img.shape[-2], img.shape[-1]
-    u = _snap(u)
-    v = _snap(v)
-    u0 = np.floor(u).astype(np.int64)
-    v0 = np.floor(v).astype(np.int64)
-    du = u - u0
-    dv = v - v0
-    vals = []
-    idx = []
-    for oi in (0, 1):
-        for oj in (0, 1):
-            ui = u0 + oi
-            vi = v0 + oj
-            ok = (ui >= 0) & (ui < h) & (vi >= 0) & (vi < w)
-            uc = np.clip(ui, 0, h - 1)
-            vc = np.clip(vi, 0, w - 1)
-            vals.append(img[..., uc, vc] * ok)
-            idx.append((uc, vc, ok))
-    return vals, idx, du, dv
-
-
-def bilinear_sample(img, grid) -> np.ndarray:
-    """Sample ``img`` (h x w) at continuous (u, v) coordinates.
-
-    ``grid`` is a :class:`SamplingGrid` or any array with a trailing axis
-    of (u, v) pairs; the result matches its leading shape.  Coordinates
-    outside the image rectangle see an implicit zero border; points
-    partially outside blend with 0.
-    """
-    img = np.asarray(img, dtype=np.float64)
-    if img.ndim != 2:
-        raise ValueError(f"expected a 2-D image, got shape {img.shape}")
-    uv = _coerce_coords(grid)
-    corners, _, du, dv = _corner_values(img, uv[..., 0], uv[..., 1])
-    return bilinear_blend(*corners, du, dv)
-
-
-def bilinear_sample_backward(img, grid, upstream) -> tuple[np.ndarray, np.ndarray]:
-    """Gradients of ``sum(upstream * bilinear_sample(img, grid))``.
-
-    Returns ``(grad_img, grad_coords)`` where ``grad_img`` has the image's
-    shape and ``grad_coords`` the coordinate array's shape (trailing axis
-    ordered (u, v)).  Gradients are exact for the piecewise-bilinear
-    interpolant, using the half-open cell convention at integer knots.
-    """
-    img = np.asarray(img, dtype=np.float64)
-    if img.ndim != 2:
-        raise ValueError(f"expected a 2-D image, got shape {img.shape}")
-    uv = _coerce_coords(grid)
-    upstream = np.asarray(upstream, dtype=np.float64)
-    if upstream.shape != uv.shape[:-1]:
-        raise ValueError(
-            f"upstream shape {upstream.shape} does not match coords {uv.shape[:-1]}"
-        )
-    (c00, c01, c10, c11), idx, du, dv = _corner_values(img, uv[..., 0], uv[..., 1])
-
-    weights = (
-        (1.0 - du) * (1.0 - dv),
-        (1.0 - du) * dv,
-        du * (1.0 - dv),
-        du * dv,
-    )
-    grad_img = np.zeros_like(img)
-    for wgt, (uc, vc, ok) in zip(weights, idx):
-        contrib = upstream * wgt * ok
-        np.add.at(grad_img, (uc.ravel(), vc.ravel()), contrib.ravel())
-
-    d_du, d_dv = bilinear_slopes(c00, c01, c10, c11, du, dv)
-    grad_coords = np.stack([upstream * d_du, upstream * d_dv], axis=-1)
-    return grad_img, grad_coords
-
-
 def lattice_cells(points):
     """Top-left lattice corner ``(u0, v0)`` of every (u, v) point, plus fractions.
 
-    Coordinates within :data:`LATTICE_SNAP_EPS` of a knot are snapped onto
-    it first; every gather sampler shares this corner convention.
+    ``points`` has a trailing axis of (u, v); the results keep its leading
+    shape.  Coordinates within :data:`LATTICE_SNAP_EPS` of a knot are
+    snapped onto it first, so a point on a knot lies in the cell that
+    starts there (the half-open ``[n, n+1)`` convention).
     """
     pts = _coerce_coords(points)
-    u = _snap(pts[:, 0])
-    v = _snap(pts[:, 1])
+    u = _snap(pts[..., 0])
+    v = _snap(pts[..., 1])
     u0 = np.floor(u).astype(np.int64)
     v0 = np.floor(v).astype(np.int64)
     return u0, v0, u - u0, v - v0
@@ -499,7 +409,8 @@ def padded_corners(points, h: int, w: int):
     Indices address an ``(h + 2) x (w + 2)`` image whose one-cell zero
     border surrounds the h x w interior, flattened row-major: every
     out-of-range corner clips onto a zero border cell, so no validity
-    masks are needed.  Returns ``((i00, i01, i10, i11), du, dv)``.
+    masks are needed.  Returns ``((i00, i01, i10, i11), du, dv)``, each
+    with the leading shape of ``points``.
     """
     u0, v0, du, dv = lattice_cells(points)
     ui = np.clip(u0 + 1, 0, h + 1)
@@ -511,24 +422,30 @@ def padded_corners(points, h: int, w: int):
     return corners, du, dv
 
 
-def _stack_corners(imgs: np.ndarray, points: np.ndarray):
-    """Corner values for stack sampling via a zero-padded flat gather."""
-    imgs = np.asarray(imgs, dtype=np.float64)
+def _padded_flat(imgs: np.ndarray) -> np.ndarray:
+    """``(n, (h+2)*(w+2))``: each image inside a one-cell zero border, flattened."""
     n, h, w = imgs.shape
     padded = np.zeros((n, h + 2, w + 2))
     padded[:, 1:-1, 1:-1] = imgs
-    flat = padded.reshape(n, -1)
-    corners, du, dv = padded_corners(points, h, w)
+    return padded.reshape(n, -1)
+
+
+def _stack_corners(imgs: np.ndarray, points: np.ndarray):
+    """Corner values for stack sampling via a zero-padded flat gather."""
+    imgs = np.asarray(imgs, dtype=np.float64)
+    flat = _padded_flat(imgs)
+    corners, du, dv = padded_corners(points, imgs.shape[1], imgs.shape[2])
     return (*(flat.take(idx, axis=1) for idx in corners), du, dv)
 
 
 def bilinear_sample_stack(imgs: np.ndarray, points: np.ndarray) -> np.ndarray:
-    """Sample a stack of images at a shared list of points.
+    """Sample a stack of images at a shared array of points.
 
-    ``imgs`` is ``(n, h, w)`` and ``points`` ``(m, 2)`` of (u, v); returns
-    ``(n, m)`` values with the same zero-padding semantics as
-    :func:`bilinear_sample`.  All images are sampled at all points, which
-    is the access pattern of the mask warp.
+    ``imgs`` is ``(n, h, w)`` and ``points`` ``(..., 2)`` of (u, v);
+    returns ``(n, ...)`` values.  Coordinates outside the image rectangle
+    see an implicit zero border; points partially outside blend with 0.
+    All images are sampled at all points, which is the access pattern of
+    the mask warp.
     """
     return bilinear_blend(*_stack_corners(imgs, points))
 
@@ -538,8 +455,57 @@ def bilinear_sample_stack_grad(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Stack sampling plus per-sample coordinate derivatives.
 
-    Returns ``(values, d_du, d_dv)``, each ``(n, m)``: the derivative of
+    Returns ``(values, d_du, d_dv)``, each ``(n, ...)``: the derivative of
     ``values[i, p]`` with respect to point ``p``'s u and v coordinate.
     """
     corners = _stack_corners(imgs, points)
     return (bilinear_blend(*corners), *bilinear_slopes(*corners))
+
+
+def _check_image(img) -> np.ndarray:
+    img = np.asarray(img, dtype=np.float64)
+    if img.ndim != 2:
+        raise ValueError(f"expected a 2-D image, got shape {img.shape}")
+    return img
+
+
+def bilinear_sample(img, grid) -> np.ndarray:
+    """Sample ``img`` (h x w) at continuous (u, v) coordinates.
+
+    ``grid`` is any array with a trailing axis of (u, v) pairs; the result
+    matches its leading shape.  It is :func:`bilinear_sample_stack` on a
+    stack of one image.
+    """
+    return bilinear_sample_stack(_check_image(img)[None], grid)[0]
+
+
+def bilinear_sample_backward(img, grid, upstream) -> tuple[np.ndarray, np.ndarray]:
+    """Gradients of ``sum(upstream * bilinear_sample(img, grid))``.
+
+    Returns ``(grad_img, grad_coords)`` where ``grad_img`` has the image's
+    shape and ``grad_coords`` the coordinate array's shape (trailing axis
+    ordered (u, v)).  Gradients are exact for the piecewise-bilinear
+    interpolant, using the half-open cell convention at integer knots.
+    """
+    img = _check_image(img)
+    uv = _coerce_coords(grid)
+    upstream = np.asarray(upstream, dtype=np.float64)
+    if upstream.shape != uv.shape[:-1]:
+        raise ValueError(
+            f"upstream shape {upstream.shape} does not match coords {uv.shape[:-1]}"
+        )
+    h, w = img.shape
+    corners, du, dv = padded_corners(uv, h, w)
+    flat = _padded_flat(img[None])[0]
+    d_du, d_dv = bilinear_slopes(*(flat.take(idx) for idx in corners), du, dv)
+    grad_coords = np.stack([upstream * d_du, upstream * d_dv], axis=-1)
+
+    # each corner's blend weight, scattered onto its padded cell; the
+    # border cells collect the out-of-range corners and are cropped
+    weights = ((1.0 - du) * (1.0 - dv), (1.0 - du) * dv, du * (1.0 - dv), du * dv)
+    grad_img = np.bincount(
+        np.concatenate([idx.ravel() for idx in corners]),
+        weights=np.concatenate([(upstream * wgt).ravel() for wgt in weights]),
+        minlength=(h + 2) * (w + 2),
+    )
+    return grad_img.reshape(h + 2, w + 2)[1:-1, 1:-1], grad_coords

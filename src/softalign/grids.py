@@ -24,16 +24,8 @@ with ``repr`` so a write/read round trip is bit-exact for float64.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
-
-
-class GridPoint(NamedTuple):
-    """A continuous grid position (row coordinate ``i``, column ``j``)."""
-
-    i: float
-    j: float
 
 
 def _require_grid_dims(h: int, w: int) -> None:
@@ -138,25 +130,8 @@ def l2_normalize(grid: FeatureGrid) -> FeatureGrid:
     return FeatureGrid(out)
 
 
-def grid_to_normalized(p: GridPoint | tuple[float, float], h: int, w: int) -> tuple[float, float]:
-    """Map a grid position ``(i, j)`` to normalized ``(x, y)``."""
-    _require_grid_dims(h, w)
-    i, j = p
-    x = -1.0 + 2.0 * j / (w - 1)
-    y = -1.0 + 2.0 * i / (h - 1)
-    return x, y
-
-
-def normalized_to_grid(x: float, y: float, h: int, w: int) -> GridPoint:
-    """Map normalized ``(x, y)`` back to a continuous grid position."""
-    _require_grid_dims(h, w)
-    j = (x + 1.0) * (w - 1) / 2.0
-    i = (y + 1.0) * (h - 1) / 2.0
-    return GridPoint(i, j)
-
-
 def cells_to_normalized(ii, jj, h: int, w: int) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized ``grid_to_normalized``: arrays of rows/cols -> (x, y) arrays."""
+    """Continuous grid rows ``ii`` and columns ``jj`` (arrays or scalars) -> normalized (x, y)."""
     _require_grid_dims(h, w)
     ii = np.asarray(ii, dtype=np.float64)
     jj = np.asarray(jj, dtype=np.float64)
@@ -164,7 +139,7 @@ def cells_to_normalized(ii, jj, h: int, w: int) -> tuple[np.ndarray, np.ndarray]
 
 
 def normalized_to_cells(x, y, h: int, w: int) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized ``normalized_to_grid``: (x, y) arrays -> (row, col) arrays."""
+    """Normalized (x, y) (arrays or scalars) -> continuous grid (row, col)."""
     _require_grid_dims(h, w)
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)

@@ -27,7 +27,12 @@ the same linearity: with ``uv_kl = T(k, l)`` in source-grid units,
     c = sum_kl bilinear(S_t[., ., k, l], uv_kl),
     S_t[p, q, k, l] = sum_{||(i, j) - (p, q)|| < t} s[i, j, k, l]
 
-with zero padding.  ``S_t`` does not depend on ``T``, so it is built
+with zero padding.  Both paths take ``uv_kl`` from the one target-to-source
+cell map of :mod:`softalign.geometry` (:func:`geometry.cell_points` and
+:func:`geometry.source_cells`, composed as
+:func:`geometry.transform_sampling_grid`) and read values there with its
+one padded-gather corner convention (:func:`geometry.padded_corners`).
+``S_t`` does not depend on ``T``, so it is built
 once per pair from a few shifted adds (at ``t <= 1`` it is ``s`` itself),
 and every later score or gradient is an O(hw) gather of four corners
 per target cell instead of an O((hw)^2) mask warp.  The two paths agree
@@ -78,7 +83,7 @@ class InlierMask:
         self.data = np.asarray(self.data, dtype=np.float64)
         if self.data.ndim != 4:
             raise ValueError(f"mask must be 4-D, got shape {self.data.shape}")
-        if self.threshold <= 0.0:
+        if not self.threshold > 0.0:
             raise ValueError(f"threshold must be positive, got {self.threshold}")
         if self.kind == IDENTITY_BINARY:
             if not np.isin(self.data, (0.0, 1.0)).all():
@@ -96,7 +101,7 @@ class InlierMask:
 
 def identity_mask(h: int, w: int, t: float) -> InlierMask:
     """Binary neighborhood-consensus mask of radius ``t`` on an h x w grid."""
-    if t <= 0.0:
+    if not t > 0.0:
         raise ValueError(f"threshold must be positive, got {t}")
     ii = np.arange(h, dtype=np.float64)
     jj = np.arange(w, dtype=np.float64)
@@ -118,8 +123,7 @@ def warp_mask(m_id: InlierMask, T: geometry.Transform) -> InlierMask:
     if m_id.kind != IDENTITY_BINARY:
         raise ValueError("warp_mask expects an identity_binary mask")
     h, w = m_id.grid_shape
-    sg = geometry.transform_sampling_grid(T, (h, w))
-    pts = sg.uv.reshape(-1, 2)
+    pts = geometry.transform_sampling_grid(T, (h, w)).reshape(-1, 2)
     imgs = m_id.data.reshape(h * w, h, w)
     vals = geometry.bilinear_sample_stack(imgs, pts)
     data = np.clip(vals.reshape(h, w, h, w), 0.0, 1.0)
@@ -209,7 +213,7 @@ def score_breakdown(
     window = covers.any(axis=0)
     a, b, covers = a[window], b[window], covers[:, window]
 
-    uv = geometry.transform_sampling_grid(T, (h, w)).uv.reshape(-1, 2)
+    uv = geometry.transform_sampling_grid(T, (h, w)).reshape(-1, 2)
     u0, v0, du, dv = geometry.lattice_cells(uv)
     corner_ok = [
         (u0 + ci >= 0) & (u0 + ci < h) & (v0 + cj >= 0) & (v0 + cj < w) for ci, cj in _CORNERS
@@ -226,13 +230,6 @@ def score_breakdown(
     contributions = np.bincount(cells, weights=wts, minlength=h * w).reshape(h, w)
     inliers = _top_inliers(ii, jj, cells // w, cells % w, wts, top_k)
     return ScoreBreakdown(c=float(np.sum(wts)), contributions=contributions, inliers=inliers)
-
-
-def _target_points(h: int, w: int) -> np.ndarray:
-    """``(h*w, 2)`` normalized (x, y) centres of the target cells, row-major."""
-    kk, ll = np.meshgrid(np.arange(h), np.arange(w), indexing="ij")
-    x, y = cells_to_normalized(kk.ravel(), ll.ravel(), h, w)
-    return np.stack([x, y], axis=1)
 
 
 def _chain_to_params(
@@ -267,10 +264,8 @@ def soft_inlier_grad(
             f"shape mismatch: scores {s.data.shape} vs mask {m_id.data.shape}"
         )
     h, w = m_id.grid_shape
-    xy = _target_points(h, w)
-    mapped = geometry.apply(T, xy)
-    u, v = normalized_to_cells(mapped[:, 0], mapped[:, 1], h, w)
-    pts = np.stack([u, v], axis=1)
+    xy = geometry.cell_points(h, w)
+    pts = geometry.source_cells(T, xy, h, w)
 
     imgs = m_id.data.reshape(h * w, h, w)
     vals, d_du, d_dv = geometry.bilinear_sample_stack_grad(imgs, pts)
@@ -322,7 +317,7 @@ class FilteredScores:
             inner[pi, pj] += s.data[si, sj]
         self.grid_shape = (h, w)
         self.scores = inner if offsets == [(0, 0)] else s.data
-        self.points = _target_points(h, w)
+        self.points = geometry.cell_points(h, w)
         self.padded = padded
         self._cells = np.arange(h * w)
 
@@ -333,9 +328,8 @@ class FilteredScores:
         finite source point.
         """
         h, w = self.grid_shape
-        mapped = geometry.apply(T, self.points)
-        u, v = normalized_to_cells(mapped[:, 0], mapped[:, 1], h, w)
-        corners, du, dv = geometry.padded_corners(np.stack([u, v], axis=1), h, w)
+        uv = geometry.source_cells(T, self.points, h, w)
+        corners, du, dv = geometry.padded_corners(uv, h, w)
         flat = self.padded.reshape(-1)
         values = tuple(flat.take(idx * (h * w) + self._cells) for idx in corners)
         return ScoreSample(self, T, values, du, dv)
@@ -383,7 +377,7 @@ def hard_inlier_count(
     source point lies strictly within ``t`` of the warped target point and
     returns them: :func:`hard_inliers` for a batch of one.
     """
-    if t <= 0.0:
+    if not t > 0.0:
         raise ValueError(f"threshold must be positive, got {t}")
     if not matches:
         return 0, []

@@ -59,7 +59,7 @@ class TrainConfig:
             raise ValueError("hidden width must be >= 1")
         if self.family not in FAMILIES:
             raise ValueError(f"unknown family {self.family!r}")
-        if self.threshold is not None and self.threshold <= 0:
+        if self.threshold is not None and not self.threshold > 0:
             raise ValueError("threshold must be > 0")
 
 

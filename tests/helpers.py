@@ -3,7 +3,7 @@
 import numpy as np
 
 from softalign import fit
-from softalign.geometry import Transform, make_tps, transform_sampling_grid
+from softalign.geometry import LATTICE_SNAP_EPS, Transform, make_tps, transform_sampling_grid
 from softalign.grids import FeatureGrid, cells_to_normalized, l2_normalize
 from softalign.softinlier import default_threshold, hard_inlier_count, score_breakdown
 
@@ -31,7 +31,7 @@ def random_transform(rng, family, magnitude=1.0):
 
 def knot_clearance(T, h, w):
     """Distance of every warped grid coordinate to the integer lattice."""
-    uv = transform_sampling_grid(T, (h, w)).uv
+    uv = transform_sampling_grid(T, (h, w))
     return np.abs(uv - np.round(uv)).min()
 
 
@@ -107,3 +107,50 @@ def ransac_reference(s, family="affine", t=None, iters=500, seed=0):
             pass
     c = score_breakdown(s, best_T, t).c
     return best_T, best_count, tuple(best_inliers), tuple(trace), c
+
+
+def _reference_corners(img, uv):
+    """Per-corner gather with validity masks: the four corner values, their
+    clipped indices and masks, and the fractions."""
+    h, w = img.shape
+    u, v = uv[..., 0], uv[..., 1]
+    ru, rv = np.round(u), np.round(v)
+    u = np.where(np.abs(u - ru) < LATTICE_SNAP_EPS, ru, u)
+    v = np.where(np.abs(v - rv) < LATTICE_SNAP_EPS, rv, v)
+    u0 = np.floor(u).astype(np.int64)
+    v0 = np.floor(v).astype(np.int64)
+    vals, idx = [], []
+    for oi in (0, 1):
+        for oj in (0, 1):
+            ui, vi = u0 + oi, v0 + oj
+            ok = (ui >= 0) & (ui < h) & (vi >= 0) & (vi < w)
+            uc, vc = np.clip(ui, 0, h - 1), np.clip(vi, 0, w - 1)
+            vals.append(img[uc, vc] * ok)
+            idx.append((uc, vc, ok))
+    return vals, idx, u - u0, v - v0
+
+
+def bilinear_sample_reference(img, uv):
+    """Zero-padded bilinear sampling of a 2-D image at ``(..., 2)`` (u, v)
+    points, masking each out-of-range corner: the reference for the padded
+    gather of ``geometry.bilinear_sample``."""
+    (c00, c01, c10, c11), _, du, dv = _reference_corners(img, np.asarray(uv, dtype=np.float64))
+    return (
+        c00 * (1.0 - du) * (1.0 - dv)
+        + c01 * (1.0 - du) * dv
+        + c10 * du * (1.0 - dv)
+        + c11 * du * dv
+    )
+
+
+def bilinear_sample_backward_reference(img, uv, upstream):
+    """``(grad_img, grad_coords)`` of ``sum(upstream * bilinear_sample_reference(img, uv))``,
+    scattering with ``np.add.at``: the reference for ``geometry.bilinear_sample_backward``."""
+    (c00, c01, c10, c11), idx, du, dv = _reference_corners(img, np.asarray(uv, dtype=np.float64))
+    weights = ((1.0 - du) * (1.0 - dv), (1.0 - du) * dv, du * (1.0 - dv), du * dv)
+    grad_img = np.zeros_like(img)
+    for wgt, (uc, vc, ok) in zip(weights, idx):
+        np.add.at(grad_img, (uc.ravel(), vc.ravel()), (upstream * wgt * ok).ravel())
+    d_du = (1.0 - dv) * (c10 - c00) + dv * (c11 - c01)
+    d_dv = (1.0 - du) * (c01 - c00) + du * (c11 - c10)
+    return grad_img, np.stack([upstream * d_du, upstream * d_dv], axis=-1)

@@ -1,4 +1,6 @@
 import json
+import os
+import stat
 import subprocess
 import sys
 
@@ -219,6 +221,27 @@ class TestSynth:
         r1["result"]["outdir"] = r2["result"]["outdir"] = ""
         r1["config"]["outdir"] = r2["config"]["outdir"] = ""
         assert canonical(r1) == canonical(r2)
+
+    def test_out_existing_directory_exits_2_leaving_no_temp_file(self, tmp_path, capsys):
+        out = tmp_path / "report"
+        out.mkdir()
+        args = ["--n", 1, "--seed", 3, "--grid", 8, "--image-size", 48]
+        assert run(["synth", "--outdir", tmp_path / "ds", "--out", out] + args) == 2
+        assert "report" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["ds", "report"]
+        assert not any(out.iterdir())
+
+    def test_report_file_mode_follows_umask(self, tmp_path):
+        out = tmp_path / "s.json"
+        old = os.umask(0o027)
+        try:
+            code = run(["synth", "--outdir", tmp_path / "ds", "--out", out,
+                        "--n", 1, "--grid", 8, "--image-size", 48])
+        finally:
+            os.umask(old)
+        assert code == 0
+        assert stat.S_IMODE(out.stat().st_mode) == 0o640
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["ds", "s.json"]
 
     def test_manifest_contents(self, tmp_path):
         ds = make_dataset(tmp_path, n=2)

@@ -3,13 +3,10 @@ import pytest
 
 from softalign.grids import (
     FeatureGrid,
-    GridPoint,
     Tensor4,
     cells_to_normalized,
-    grid_to_normalized,
     l2_normalize,
     normalized_to_cells,
-    normalized_to_grid,
     read_fgrid,
     write_fgrid,
 )
@@ -70,22 +67,22 @@ class TestL2Normalize:
 class TestCoordinateConvention:
     def test_corners_map_to_unit_square(self):
         h, w = 7, 11
-        assert grid_to_normalized(GridPoint(0, 0), h, w) == (-1.0, -1.0)
-        assert grid_to_normalized(GridPoint(h - 1, w - 1), h, w) == (1.0, 1.0)
-        assert grid_to_normalized(GridPoint(0, w - 1), h, w) == (1.0, -1.0)
+        xs, ys = cells_to_normalized([0, h - 1, 0], [0, w - 1, w - 1], h, w)
+        assert xs.tolist() == [-1.0, 1.0, 1.0]
+        assert ys.tolist() == [-1.0, 1.0, -1.0]
 
     def test_center_of_odd_grid(self):
-        x, y = grid_to_normalized(GridPoint(2, 2), 5, 5)
-        assert (x, y) == (0.0, 0.0)
+        x, y = cells_to_normalized(2, 2, 5, 5)
+        assert (float(x), float(y)) == (0.0, 0.0)
 
     def test_round_trip(self):
         rng = np.random.default_rng(2)
         for _ in range(50):
             h, w = rng.integers(2, 40, size=2)
             i, j = rng.uniform(-3, 40, size=2)
-            x, y = grid_to_normalized(GridPoint(i, j), h, w)
-            back = normalized_to_grid(x, y, h, w)
-            np.testing.assert_allclose([back.i, back.j], [i, j], atol=1e-12)
+            x, y = cells_to_normalized(i, j, h, w)
+            back = normalized_to_cells(x, y, h, w)
+            np.testing.assert_allclose(back, [i, j], atol=1e-12)
 
     def test_vectorized_matches_scalar(self):
         rng = np.random.default_rng(3)
@@ -94,17 +91,19 @@ class TestCoordinateConvention:
         jj = rng.uniform(0, w - 1, size=20)
         xs, ys = cells_to_normalized(ii, jj, h, w)
         for n in range(20):
-            x, y = grid_to_normalized(GridPoint(ii[n], jj[n]), h, w)
-            assert (xs[n], ys[n]) == (x, y)
+            x, y = cells_to_normalized(ii[n], jj[n], h, w)
+            assert (xs[n], ys[n]) == (x, y) == (-1.0 + 2.0 * jj[n] / (w - 1), -1.0 + 2.0 * ii[n] / (h - 1))
         uu, vv = normalized_to_cells(xs, ys, h, w)
+        for n in range(20):
+            assert (uu[n], vv[n]) == normalized_to_cells(xs[n], ys[n], h, w)
         np.testing.assert_allclose(uu, ii, atol=1e-12)
         np.testing.assert_allclose(vv, jj, atol=1e-12)
 
     def test_degenerate_dims_rejected(self):
-        with pytest.raises(ValueError):
-            grid_to_normalized(GridPoint(0, 0), 1, 5)
-        with pytest.raises(ValueError):
-            normalized_to_grid(0.0, 0.0, 5, 1)
+        with pytest.raises(ValueError, match="at least 2x2"):
+            cells_to_normalized(0, 0, 1, 5)
+        with pytest.raises(ValueError, match="at least 2x2"):
+            normalized_to_cells(0.0, 0.0, 5, 1)
 
 
 class TestTensor4:

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from helpers import clear_random_transform, random_normalized, random_transform
+from softalign.fit import FitConfig, fit_line_demo
 from softalign.geometry import Transform, make_tps
 from softalign.matching import CorrelationTensor, correlate
 from softalign.softinlier import (
@@ -16,6 +17,7 @@ from softalign.softinlier import (
     soft_inlier_grad,
     warp_mask,
 )
+from softalign.weaktrain import TrainConfig
 
 
 def count_entries_brute(h, w, t):
@@ -84,6 +86,26 @@ class TestInlierMaskType:
     def test_unknown_kind(self):
         with pytest.raises(ValueError, match="kind"):
             InlierMask(np.zeros((2, 2, 2, 2)), "fuzzy", 0.5)
+
+
+NAN = float("nan")
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: FitConfig(threshold=NAN),
+        lambda: fit_line_demo(np.array([[0.0, 0.0], [1.0, 1.0], [2.0, 0.5]]), t=NAN),
+        lambda: InlierMask(np.zeros((2, 2, 2, 2)), IDENTITY_BINARY, NAN),
+        lambda: identity_mask(4, 4, NAN),
+        lambda: hard_inlier_count([((0, 0), (0, 0))], Transform.identity("affine"), NAN, 4, 4),
+        lambda: TrainConfig(threshold=NAN),
+    ],
+    ids=["FitConfig", "fit_line_demo", "InlierMask", "identity_mask", "hard_inlier_count", "TrainConfig"],
+)
+def test_nan_threshold_rejected(make):
+    with pytest.raises(ValueError, match="threshold must be"):
+        make()
 
 
 class TestWarpMask:
