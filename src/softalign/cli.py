@@ -197,9 +197,12 @@ def _read_points(path) -> np.ndarray:
             if len(parts) != 2:
                 raise ValueError(f"{path}:{lineno}: expected two values per line")
             try:
-                rows.append([float(parts[0]), float(parts[1])])
+                row = [float(parts[0]), float(parts[1])]
             except ValueError:
                 raise ValueError(f"{path}:{lineno}: unparseable number") from None
+            if not np.isfinite(row).all():
+                raise ValueError(f"{path}:{lineno}: coordinates must be finite")
+            rows.append(row)
     if len(rows) < 2:
         raise ValueError(f"{path}: need at least 2 points")
     return np.asarray(rows)
@@ -376,6 +379,17 @@ def _aggregate(pair_records: list[dict]) -> dict:
     return agg
 
 
+def _align_single(args, command: str, config: dict, aligner) -> tuple[dict, dict]:
+    """Report and pair entry of a single-pair command (``align``, ``ransac``)."""
+    report = _report_skeleton(command, config)
+    rec = {"id": "pair0000", "sizes": args.sizes}
+    rec |= {key: getattr(args, key, None) for key in MANIFEST_PATH_KEYS}
+    entry = _pair_record(rec, aligner, args)
+    report["pairs"] = [entry]
+    report["aggregate"] = _aggregate(report["pairs"])
+    return report, entry
+
+
 def _direct_aligner(args):
     cfg = fit.FitConfig(
         family=args.family,
@@ -423,19 +437,7 @@ def cmd_align(args) -> int:
         "restarts": args.restarts,
         "top_k": args.top_k,
     }
-    report = _report_skeleton("align", config)
-    rec = {
-        "id": "pair0000",
-        "source": args.source,
-        "target": args.target,
-        "keypoints": args.keypoints,
-        "src_mask": args.src_mask,
-        "tgt_mask": args.tgt_mask,
-        "sizes": args.sizes,
-    }
-    entry = _pair_record(rec, _direct_aligner(args), args)
-    report["pairs"] = [entry]
-    report["aggregate"] = _aggregate(report["pairs"])
+    report, entry = _align_single(args, "align", config, _direct_aligner(args))
     summary = f"align: c={entry['c']:.4f} no_signal={entry['no_signal']}"
     if "pck" in entry:
         summary += f" pck={entry['pck']:.4f}"
@@ -485,17 +487,7 @@ def cmd_ransac(args) -> int:
         "iters": args.iters,
         "top_k": args.top_k,
     }
-    report = _report_skeleton("ransac", config)
-    rec = {
-        "id": "pair0000",
-        "source": args.source,
-        "target": args.target,
-        "keypoints": args.keypoints,
-        "sizes": args.sizes,
-    }
-    entry = _pair_record(rec, _ransac_aligner(args), args)
-    report["pairs"] = [entry]
-    report["aggregate"] = _aggregate(report["pairs"])
+    report, entry = _align_single(args, "ransac", config, _ransac_aligner(args))
     summary = f"ransac: c={entry['c']:.4f} inliers={entry.get('inlier_count')}"
     _emit_report(report, args.out, summary)
     return 0
@@ -687,6 +679,29 @@ def cmd_linedemo(args) -> int:
 # Parser
 
 
+def _checked(convert, accept, requirement: str):
+    """argparse type: ``convert`` the text, then require ``accept(value)``."""
+
+    def parse(text: str):
+        try:
+            value = convert(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid value {text!r}") from None
+        if not accept(value):
+            raise argparse.ArgumentTypeError(f"must be {requirement}, got {text!r}")
+        return value
+
+    return parse
+
+
+_positive_float = _checked(float, lambda v: np.isfinite(v) and v > 0, "a finite number > 0")
+_nonnegative_int = _checked(int, lambda v: v >= 0, "an integer >= 0")
+
+
+def _add_top_k_flag(p):
+    p.add_argument("--top-k", type=_nonnegative_int, default=10, help="strongest matches to report (default %(default)s)")
+
+
 def _add_report_flags(p, *, seed: int = 0):
     p.add_argument("--seed", type=int, default=seed, help="run seed (default %(default)s)")
     p.add_argument("--out", metavar="FILE", help="write the JSON report here (default: stdout)")
@@ -712,7 +727,7 @@ def _add_grid_flags(p):
 def _add_threshold_flag(p):
     p.add_argument(
         "--t",
-        type=float,
+        type=_positive_float,
         default=None,
         help="inlier radius in grid units (default max(h, w) / 30)",
     )
@@ -727,7 +742,7 @@ def _add_eval_flags(p):
     )
     p.add_argument(
         "--alpha",
-        type=float,
+        type=_positive_float,
         default=None,
         help="PCK threshold factor (default: protocol convention)",
     )
@@ -743,7 +758,7 @@ def _add_eval_flags(p):
 def _add_fit_flags(p):
     p.add_argument("--iterations", type=int, default=200, help="ascent iterations per stage (default %(default)s)")
     p.add_argument("--restarts", type=int, default=4, help="perturbed restarts (default %(default)s)")
-    p.add_argument("--top-k", type=int, default=10, help="strongest matches to report (default %(default)s)")
+    _add_top_k_flag(p)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -798,7 +813,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("data", help="JSONL manifest of training pairs")
     p.add_argument("--epochs", type=int, default=30, help="training epochs (default %(default)s)")
     p.add_argument("--batch-size", type=int, default=16, help="minibatch size (default %(default)s)")
-    p.add_argument("--step", type=float, default=1e-3, help="optimizer step size (default %(default)s)")
+    p.add_argument("--step", type=_positive_float, default=1e-3, help="optimizer step size (default %(default)s)")
     p.add_argument("--hidden", type=int, default=64, help="hidden width (default %(default)s)")
     p.add_argument("--family", choices=geometry.FAMILIES, default="affine")
     p.add_argument("--checkpoint", default="model.json", metavar="FILE", help="checkpoint path (default %(default)s)")
@@ -813,7 +828,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--outliers", type=int, default=30, help="demo cloud clutter points (default %(default)s)")
     p.add_argument("--mode", choices=("ransac", "soft-grid"), default="soft-grid")
     p.add_argument("--iters", type=int, default=500, help="sampling iterations for ransac mode (default %(default)s)")
-    p.add_argument("--t", type=float, default=0.5, help="band half-width (default %(default)s)")
+    p.add_argument("--t", type=_positive_float, default=0.5, help="band half-width (default %(default)s)")
     _add_report_flags(p)
     p.set_defaults(func=cmd_linedemo)
 
@@ -821,7 +836,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--source", required=True, help="source image or feature grid")
     p.add_argument("--target", required=True, help="target image or feature grid")
     p.add_argument("--transform", required=True, metavar="FILE", help="transform JSON (or a report containing one)")
-    p.add_argument("--top-k", type=int, default=10, help="strongest matches to report (default %(default)s)")
+    _add_top_k_flag(p)
     _add_grid_flags(p)
     _add_threshold_flag(p)
     _add_report_flags(p)
@@ -836,7 +851,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_grid_flags(p)
     _add_threshold_flag(p)
     _add_eval_flags(p)
-    p.add_argument("--top-k", type=int, default=10, help="strongest matches to report (default %(default)s)")
+    _add_top_k_flag(p)
     _add_report_flags(p)
     p.set_defaults(func=cmd_ransac)
 

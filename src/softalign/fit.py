@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from softalign.geometry import FAMILIES, Transform, apply, apply_many, make_tps, tps_control_points
+from softalign.geometry import AFFINE, FAMILIES, Transform, apply, apply_many, tps_control_points
 from softalign.grids import FeatureGrid, cells_to_normalized
 from softalign.matching import CorrelationTensor, correlate
 from softalign.softinlier import (
@@ -38,13 +38,13 @@ STALL_LIMIT = 10
 class FitConfig:
     """Settings for :func:`fit_direct`.
 
-    ``stages`` defaults to ``("affine",)`` for the affine family and to
-    ``("affine", <family>)`` otherwise; ``threshold`` defaults to
-    ``max(h, w) / 30`` at fit time.
+    An affine fit runs one affine stage; a TPS or homography fit runs an
+    affine stage and then one of its own family (TPS on the default 3x3
+    control grid).  ``threshold`` defaults to ``max(h, w) / 30`` at fit
+    time.
     """
 
     family: str = "affine"
-    stages: tuple[str, ...] | None = None
     iterations: int = 200
     step: float = 0.05
     stage2_step: float = 0.02
@@ -53,14 +53,13 @@ class FitConfig:
     seed: int = 0
     tol: float = 1e-5
     threshold: float | None = None
-    control_grid: int = 3
 
     def __post_init__(self):
         if self.family not in FAMILIES:
             raise ValueError(f"unknown family {self.family!r}")
         if self.iterations < 1:
             raise ValueError("iterations must be >= 1")
-        if self.step <= 0 or self.stage2_step <= 0:
+        if not (self.step > 0 and self.stage2_step > 0):
             raise ValueError("step sizes must be > 0")
         b1, b2 = self.betas
         if not (0 < b1 < 1 and 0 < b2 < 1):
@@ -71,18 +70,9 @@ class FitConfig:
             raise ValueError("tol must be >= 0")
         if self.threshold is not None and not self.threshold > 0:
             raise ValueError("threshold must be > 0")
-        if self.stages is not None:
-            if not self.stages or any(s not in FAMILIES for s in self.stages):
-                raise ValueError(f"stages must be drawn from {sorted(FAMILIES)}")
-            if self.stages[-1] != self.family:
-                raise ValueError("last stage must match the configured family")
 
     def resolved_stages(self) -> tuple[str, ...]:
-        if self.stages is not None:
-            return self.stages
-        if self.family == "affine":
-            return ("affine",)
-        return ("affine", self.family)
+        return (AFFINE,) if self.family == AFFINE else (AFFINE, self.family)
 
 
 @dataclass(frozen=True)
@@ -125,15 +115,7 @@ class AlignmentResult:
 # Direct maximization
 
 
-def _build_transform(stage: str, params: np.ndarray, control_grid: int) -> Transform:
-    if stage == "affine":
-        return Transform.affine(params)
-    if stage == "homography":
-        return Transform.homography(params)
-    return make_tps(params, control_grid=control_grid)
-
-
-def _count(filtered: FilteredScores, stage, params, control_grid):
+def _count(filtered: FilteredScores, stage, params):
     """``(c, sample)`` at the given parameters.
 
     ``(-inf, None)`` when the parameters give no usable mapping: a
@@ -141,13 +123,13 @@ def _count(filtered: FilteredScores, stage, params, control_grid):
     target cell, or a non-finite source point.
     """
     try:
-        sample = filtered.gather(_build_transform(stage, params, control_grid))
+        sample = filtered.gather(Transform(stage, params))
     except ValueError:
         return -np.inf, None
     return sample.c, sample
 
 
-def _ascend(filtered, stage, g0, steps, lr, betas, tol, control_grid):
+def _ascend(filtered, stage, g0, steps, lr, betas, tol):
     """Adaptive-moment ascent with backtracking; accepted steps never lower c.
 
     Each accepted point is scored once: its gradient comes from the same
@@ -157,7 +139,7 @@ def _ascend(filtered, stage, g0, steps, lr, betas, tol, control_grid):
     b1, b2 = betas
     m1 = np.zeros_like(g)
     m2 = np.zeros_like(g)
-    start = filtered.gather(_build_transform(stage, g, control_grid))
+    start = filtered.gather(Transform(stage, g))
     c_cur, grad = start.c, start.dc_dg()
     trace = [c_cur]
     stall = 0
@@ -169,7 +151,7 @@ def _ascend(filtered, stage, g0, steps, lr, betas, tol, control_grid):
         improvement = 0.0
         for _ in range(MAX_BACKTRACKS):
             g_try = g + lr * scale * direction
-            c_try, sample = _count(filtered, stage, g_try, control_grid)
+            c_try, sample = _count(filtered, stage, g_try)
             if c_try >= c_cur:
                 g = g_try
                 improvement = c_try - c_cur
@@ -184,21 +166,20 @@ def _ascend(filtered, stage, g0, steps, lr, betas, tol, control_grid):
     return g, c_cur, trace
 
 
-def _embed_stage(stage: str, affine_params: np.ndarray, control_grid: int) -> np.ndarray:
+def _embed_stage(stage: str, affine_params: np.ndarray) -> np.ndarray:
     """Parameters for `stage` that reproduce the given affine map exactly."""
     if stage == "homography":
         return np.concatenate([affine_params, [0.0, 0.0]])
     if stage == "tps":
-        pts = tps_control_points(control_grid)
+        pts = tps_control_points()
         moved = apply(Transform.affine(affine_params), pts)
         return (moved - pts).ravel()
     return affine_params.copy()
 
 
 def _restart_start(cfg: FitConfig, restart: int) -> np.ndarray:
-    identity = np.array([1.0, 0.0, 0.0, 0.0, 1.0, 0.0])
     if restart == 0:
-        return identity
+        return Transform.identity(AFFINE).params
     rng = np.random.default_rng([cfg.seed, restart])
     ang = rng.uniform(-0.5, 0.5)
     scale = np.exp(rng.uniform(-0.2, 0.2))
@@ -234,11 +215,9 @@ def fit_direct(f_s: FeatureGrid, f_t: FeatureGrid, cfg: FitConfig | None = None)
         stage = stages[0]
         for idx, stage in enumerate(stages):
             if idx > 0:
-                g = _embed_stage(stage, g, cfg.control_grid)
+                g = _embed_stage(stage, g)
             lr = cfg.step if idx == 0 else cfg.stage2_step
-            g, c_end, tr = _ascend(
-                filtered, stage, g, cfg.iterations, lr, cfg.betas, cfg.tol, cfg.control_grid
-            )
+            g, c_end, tr = _ascend(filtered, stage, g, cfg.iterations, lr, cfg.betas, cfg.tol)
             trace.extend(tr)
         if best is None or c_end > best[0]:
             best = (c_end, restart, g, stage, trace)
@@ -255,7 +234,7 @@ def fit_direct(f_s: FeatureGrid, f_t: FeatureGrid, cfg: FitConfig | None = None)
             breakdown=breakdown,
             no_signal=True,
         )
-    T = _build_transform(stage_best, g_best, cfg.control_grid)
+    T = Transform(stage_best, g_best)
     return AlignmentResult(
         transform=T,
         c=c_best,

@@ -17,11 +17,13 @@ normalized source coordinates (the direction used by the mask warp):
     row-major control order, so the zero vector is the identity map.
 
 The TPS kernel is ``U(r) = r^2 log r^2`` with ``U(0) = 0``; each output
-dimension solves the standard interpolation system (kernel weights plus an
-affine part, side conditions ``sum w = 0`` and ``sum w*c = 0``) with zero
-regularization.  The solve happens once at construction and the resulting
-map is affine-linear in the displacement vector, which makes the parameter
-Jacobian a fixed basis evaluation.
+dimension solves the standard interpolation system ``L`` (kernel weights
+plus an affine part, side conditions ``sum w = 0`` and ``sum w*c = 0``)
+with zero regularization.  ``L`` depends only on the control grid, so its
+inverse is computed once per grid size and cached; the map is then linear
+in the control targets, ``x' = H(pt) @ (control + displacements)``, where
+the cardinal functions ``H`` (:func:`tps_cardinal_values`) are also the
+parameter Jacobian.  Constructing a TPS :class:`Transform` solves nothing.
 
 One coordinate map takes target cells to source cells:
 :func:`cell_points` gives the normalized centres of a grid's cells, and
@@ -40,6 +42,8 @@ partial blending for the cells straddling the border.
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
@@ -81,51 +85,44 @@ def tps_control_points(n: int = 3) -> np.ndarray:
     return np.stack([xs.ravel(), ys.ravel()], axis=1)
 
 
-class _TpsSolution:
-    """Solved TPS interpolant for one displacement vector.
+@functools.lru_cache(maxsize=8)
+def _tps_cardinal(control_grid: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only ``(control, cardinal)`` of an ``n x n`` control grid.
 
-    Holds the control points, per-dimension coefficients (kernel weights
-    plus affine part) and the cardinal-basis matrix used for parameter
-    Jacobians.
+    ``control`` holds the ``(n*n, 2)`` control points; ``cardinal`` is the
+    first ``n*n`` columns of ``L^-1``, so ``basis(pt) @ cardinal`` are the
+    cardinal functions ``H_p(pt)``.
     """
+    control = tps_control_points(control_grid)
+    n = control.shape[0]
+    sq = np.sum((control[:, None, :] - control[None, :, :]) ** 2, axis=2)
+    L = np.zeros((n + 3, n + 3))
+    L[:n, :n] = _tps_kernel(sq)
+    P = np.column_stack([np.ones(n), control])
+    L[:n, n:] = P
+    L[n:, :n] = P.T
+    try:
+        L_inv = np.linalg.inv(L)
+    except np.linalg.LinAlgError as exc:  # pragma: no cover - fixed grid
+        raise InvariantError(f"singular TPS system: {exc}") from exc
+    residual = np.abs(L @ L_inv - np.eye(n + 3)).max()
+    if residual >= 1e-9:
+        raise InvariantError(f"TPS inverse residual {residual:.3e} >= 1e-9")
+    control.setflags(write=False)
+    L_inv.setflags(write=False)
+    return control, L_inv[:, :n]
 
-    def __init__(self, control: np.ndarray, displacements: np.ndarray):
-        n = control.shape[0]
-        sq = np.sum((control[:, None, :] - control[None, :, :]) ** 2, axis=2)
-        L = np.zeros((n + 3, n + 3))
-        L[:n, :n] = _tps_kernel(sq)
-        P = np.column_stack([np.ones(n), control])
-        L[:n, n:] = P
-        L[n:, :n] = P.T
 
-        targets = control + displacements  # interpolation targets per dim
-        rhs = np.zeros((n + 3, 2))
-        rhs[:n] = targets
-        try:
-            coef = np.linalg.solve(L, rhs)
-        except np.linalg.LinAlgError as exc:  # pragma: no cover - fixed grid
-            raise InvariantError(f"singular TPS system: {exc}") from exc
-        residual = np.abs(L @ coef - rhs).max()
-        if residual >= 1e-9:
-            raise InvariantError(f"TPS solve residual {residual:.3e} >= 1e-9")
+def tps_cardinal_values(pts, control_grid: int = 3) -> np.ndarray:
+    """``(m, n*n)`` cardinal functions ``H_p(pt)`` of an ``n x n`` control grid.
 
-        self.control = control
-        self.coef = coef  # (n+3, 2); columns are x' and y' coefficients
-        # x'(pt) = basis(pt) @ L^-1 @ [targets_x; 0]: the first n columns of
-        # basis @ L^-1 are cardinal functions H_p(pt), one per control point.
-        self.cardinal = np.linalg.inv(L)[:, :n]  # (n+3, n)
-
-    def basis(self, pts: np.ndarray) -> np.ndarray:
-        """``(m, n+3)`` rows: [U(|pt - c_p|^2) ..., 1, x, y]."""
-        sq = np.sum((pts[:, None, :] - self.control[None, :, :]) ** 2, axis=2)
-        return np.column_stack([_tps_kernel(sq), np.ones(len(pts)), pts])
-
-    def evaluate(self, pts: np.ndarray) -> np.ndarray:
-        return self.basis(pts) @ self.coef
-
-    def cardinal_values(self, pts: np.ndarray) -> np.ndarray:
-        """``(m, n)`` values H_p(pt): the g-independent Jacobian entries."""
-        return self.basis(pts) @ self.cardinal
+    A TPS maps ``pts`` to ``H @ (control + displacements)``, and ``H`` is
+    its parameter Jacobian, independent of the displacements.
+    """
+    pts = np.asarray(pts, dtype=np.float64)
+    control, cardinal = _tps_cardinal(control_grid)
+    sq = np.sum((pts[:, None, :] - control[None, :, :]) ** 2, axis=2)
+    return np.column_stack([_tps_kernel(sq), np.ones(len(pts)), pts]) @ cardinal
 
 
 class Transform:
@@ -139,7 +136,6 @@ class Transform:
             raise ValueError("transform parameters must be finite")
         self.family = family
         self.control_grid = control_grid if family == TPS else None
-        self._tps: _TpsSolution | None = None
 
         if family == AFFINE:
             if params.size != 6:
@@ -161,8 +157,8 @@ class Transform:
                     f"tps with {control_grid}x{control_grid} controls expects "
                     f"{k} parameters, got {params.size}"
                 )
-            control = tps_control_points(control_grid)
-            self._tps = _TpsSolution(control, params.reshape(-1, 2))
+            if control_grid < 2:
+                raise ValueError("TPS control grid must be at least 2x2")
 
         params.setflags(write=False)
         self.params = params
@@ -246,7 +242,8 @@ def apply(T: Transform, pts) -> np.ndarray:
     """Map an ``(n, 2)`` array (or list) of (x, y) points through ``T``."""
     pts = _check_points(pts)
     if T.family == TPS:
-        return T._tps.evaluate(pts)
+        control, _ = _tps_cardinal(T.control_grid)
+        return tps_cardinal_values(pts, T.control_grid) @ (control + T.params.reshape(-1, 2))
     xp, yp = _PARAMETRIC_MAPS[T.family](T.params, pts[:, 0], pts[:, 1])
     return np.stack([xp, yp], axis=1)
 
@@ -288,15 +285,8 @@ def jacobian_many(T: Transform, pts) -> np.ndarray:
 
     if T.family == HOMOGRAPHY:
         g = T.params
+        xp, yp = _homography_map(g, x, y)
         den = g[6] * x + g[7] * y + 1.0
-        small = np.abs(den) < DEGENERACY_EPS
-        if small.any():
-            i = int(np.argmax(small))
-            raise ValueError(
-                f"homography denominator ~ 0 at point ({x[i]:g}, {y[i]:g})"
-            )
-        xp = (g[0] * x + g[1] * y + g[2]) / den
-        yp = (g[3] * x + g[4] * y + g[5]) / den
         jac = np.zeros((n, 8, 2))
         jac[:, 0, 0] = x / den
         jac[:, 1, 0] = y / den
@@ -310,9 +300,8 @@ def jacobian_many(T: Transform, pts) -> np.ndarray:
         jac[:, 7, 1] = -yp * y / den
         return jac
 
-    basis = T._tps.cardinal_values(pts)  # (n, n_ctrl), independent of g
-    k = T.params.size
-    jac = np.zeros((n, k, 2))
+    basis = tps_cardinal_values(pts, T.control_grid)  # (n, n_ctrl), independent of g
+    jac = np.zeros((n, T.params.size, 2))
     jac[:, 0::2, 0] = basis  # dx_p moves x' only
     jac[:, 1::2, 1] = basis  # dy_p moves y' only
     return jac

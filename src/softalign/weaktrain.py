@@ -30,10 +30,6 @@ CHECKPOINT_VERSION = 1
 ADAM_EPS = 1e-8
 
 
-def identity_params(family: str) -> np.ndarray:
-    return Transform.identity(family).params.copy()
-
-
 @dataclass(frozen=True)
 class TrainConfig:
     epochs: int = 30
@@ -50,7 +46,7 @@ class TrainConfig:
             raise ValueError("epochs must be >= 1")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
-        if self.step <= 0:
+        if not self.step > 0:
             raise ValueError("step must be > 0")
         b1, b2 = self.betas
         if not (0 < b1 < 1 and 0 < b2 < 1):
@@ -111,7 +107,7 @@ def init_model(grid_h: int, grid_w: int, cfg: TrainConfig | None = None) -> Regr
     W1 = rng.normal(0.0, 1.0 / np.sqrt(n_in), size=(cfg.hidden, n_in))
     b1 = np.zeros(cfg.hidden)
     W2 = np.zeros((PARAM_COUNTS[cfg.family], cfg.hidden))
-    b2 = identity_params(cfg.family)
+    b2 = Transform.identity(cfg.family).params.copy()
     return RegressorModel(cfg.family, grid_h, grid_w, W1, b1, W2, b2)
 
 
@@ -130,30 +126,20 @@ def predict(model: RegressorModel, s: CorrelationTensor) -> Transform:
             f"correlation shape {s.data.shape} does not match model grid {h}x{w}"
         )
     g, _, _ = _forward(model, s.data.ravel())
-    return _to_transform(model.family, g)
-
-
-def _to_transform(family: str, g: np.ndarray) -> Transform:
-    if family == "affine":
-        return Transform.affine(g)
-    if family == "homography":
-        return Transform.homography(g)
-    from softalign.geometry import make_tps
-
-    return make_tps(g)
+    return Transform(model.family, g)
 
 
 def _pair_loss(model: RegressorModel, filtered: FilteredScores) -> float:
     """The loss alone for one cached pair: no gradient is built."""
     g, _, _ = _forward(model, filtered.scores.ravel())
-    return -filtered.gather(_to_transform(model.family, g)).c
+    return -filtered.gather(Transform(model.family, g)).c
 
 
 def _pair_loss_grad(model: RegressorModel, filtered: FilteredScores):
     """Loss and parameter gradients for one cached pair."""
     vec = filtered.scores.ravel()
     g, a, z = _forward(model, vec)
-    sample = filtered.gather(_to_transform(model.family, g))
+    sample = filtered.gather(Transform(model.family, g))
     loss = -sample.c
     dloss_dg = -sample.dc_dg()
     grad_b2 = dloss_dg

@@ -3,7 +3,7 @@
 import numpy as np
 
 from softalign import fit
-from softalign.geometry import LATTICE_SNAP_EPS, Transform, make_tps, transform_sampling_grid
+from softalign.geometry import LATTICE_SNAP_EPS, Transform, make_tps, tps_control_points, transform_sampling_grid
 from softalign.grids import FeatureGrid, cells_to_normalized, l2_normalize
 from softalign.softinlier import default_threshold, hard_inlier_count, score_breakdown
 
@@ -27,6 +27,41 @@ def random_transform(rng, family, magnitude=1.0):
     if family == "tps":
         return make_tps(rng.uniform(-0.2, 0.2, size=(9, 2)) * magnitude)
     raise ValueError(family)
+
+
+def _tps_system(pts, control_grid):
+    """``(basis, L)`` of the TPS on an ``n x n`` control grid: ``basis`` has
+    rows ``[U(|pt - c_p|^2) ..., 1, x, y]`` at ``pts``, ``L`` is the
+    ``(n*n + 3)``-square interpolation system."""
+
+    def kernel(q):
+        return np.where(q > 0.0, q * np.log(np.where(q > 0.0, q, 1.0)), 0.0)
+
+    control = tps_control_points(control_grid)
+    n = len(control)
+    L = np.zeros((n + 3, n + 3))
+    L[:n, :n] = kernel(np.sum((control[:, None] - control[None]) ** 2, axis=2))
+    L[:n, n:] = np.column_stack([np.ones(n), control])
+    L[n:, :n] = L[:n, n:].T
+    sq = np.sum((pts[:, None] - control[None]) ** 2, axis=2)
+    return np.column_stack([kernel(sq), np.ones(len(pts)), pts]), L
+
+
+def tps_apply_reference(displacements, pts, control_grid=3):
+    """TPS map of ``pts`` by solving the interpolation system for this one
+    displacement vector: the reference for ``geometry.apply`` on TPS."""
+    pts = np.asarray(pts, dtype=np.float64)
+    basis, L = _tps_system(pts, control_grid)
+    n = control_grid * control_grid
+    rhs = np.zeros((n + 3, 2))
+    rhs[:n] = tps_control_points(control_grid) + np.reshape(displacements, (n, 2))
+    return basis @ np.linalg.solve(L, rhs)
+
+
+def tps_cardinal_reference(pts, control_grid=3):
+    """``basis @ inv(L)[:, :n]``: the cardinal functions at ``pts``."""
+    basis, L = _tps_system(np.asarray(pts, dtype=np.float64), control_grid)
+    return basis @ np.linalg.inv(L)[:, : control_grid * control_grid]
 
 
 def knot_clearance(T, h, w):

@@ -408,6 +408,63 @@ class TestRansac:
         assert 0.0 <= pair["pck"] <= 1.0
 
 
+def parse_error(argv, capsys) -> str:
+    """stderr of a command line that argparse rejects with exit code 2."""
+    with pytest.raises(SystemExit) as exc:
+        run(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    return err
+
+
+class TestNumberFlags:
+    """Bad numbers stop the run when arguments are parsed, before any work."""
+
+    def test_align_infinite_threshold(self, tmp_path, capsys):
+        img = make_pgm(tmp_path)
+        out = tmp_path / "r.json"
+        err = parse_error(["align", "--source", img, "--target", img, "--t", "inf", "--out", out], capsys)
+        assert "--t" in err and not out.exists()
+
+    def test_align_nan_alpha(self, tmp_path, capsys):
+        img = make_pgm(tmp_path)
+        kps = tmp_path / "kp.csv"
+        kps.write_text("10,10,10,10\n")
+        out = tmp_path / "r.json"
+        err = parse_error(["align", "--source", img, "--target", img, "--keypoints", kps,
+                           "--alpha", "nan", "--out", out], capsys)
+        assert "--alpha" in err and not out.exists()
+
+    def test_train_nan_step(self, tmp_path, capsys):
+        outdir = make_dataset(tmp_path)
+        ckpt = tmp_path / "model.json"
+        err = parse_error(["train", outdir / "pairs.jsonl", "--grid", 8, "--step", "nan",
+                           "--checkpoint", ckpt], capsys)
+        assert "--step" in err and not ckpt.exists()
+
+    def test_linedemo_infinite_threshold(self, capsys):
+        assert "--t" in parse_error(["linedemo", "--t", "inf"], capsys)
+
+    @pytest.mark.parametrize("command", ["align", "score"])
+    def test_negative_top_k(self, tmp_path, capsys, command):
+        img = make_pgm(tmp_path)
+        argv = [command, "--source", img, "--target", img, "--top-k", "-1"]
+        if command == "score":
+            tfile = tmp_path / "T.json"
+            tfile.write_text(json.dumps(Transform.identity("affine").to_dict()))
+            argv += ["--transform", tfile]
+        assert "--top-k" in parse_error(argv, capsys)
+
+    @pytest.mark.parametrize("value", ["inf", "nan"])
+    def test_non_finite_point_coordinate(self, tmp_path, capsys, value):
+        pts = tmp_path / "pts.csv"
+        pts.write_text(f"0,0\n{value},2\n3,3\n")
+        assert run(["linedemo", "--points", pts, "--mode", "soft-grid"]) == 2
+        err = capsys.readouterr().err
+        assert "pts.csv:2" in err and "finite" in err and "Traceback" not in err
+
+
 class TestPlumbing:
     def test_strip_timestamps_recurses(self):
         report = {

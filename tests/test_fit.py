@@ -46,8 +46,9 @@ class TestFitConfig:
             FitConfig(restarts=0)
         with pytest.raises(ValueError, match="family"):
             FitConfig(family="rigid")
-        with pytest.raises(ValueError, match="last stage"):
-            FitConfig(family="tps", stages=("affine",))
+        for field in ("step", "stage2_step"):
+            with pytest.raises(ValueError, match="step"):
+                FitConfig(**{field: float("nan")})
 
     def test_stage_defaults(self):
         assert FitConfig(family="affine").resolved_stages() == ("affine",)
@@ -140,10 +141,10 @@ class TestFitDirect:
         s = correlate(random_normalized(rng, 6, 6, 8), random_normalized(rng, 6, 6, 8))
         filtered = FilteredScores(s, 1.0)
         # the denominator -x + 1 vanishes at the target frame's right edge
-        assert fit._count(filtered, "homography", [1, 0, 0, 0, 1, 0, -1.0, 0], 3) == (-np.inf, None)
+        assert fit._count(filtered, "homography", [1, 0, 0, 0, 1, 0, -1.0, 0]) == (-np.inf, None)
         with np.errstate(over="ignore", invalid="ignore"):  # overflows to a non-finite grid
-            assert fit._count(filtered, "affine", [1e308, 0, 0, 0, 1e308, 0], 3) == (-np.inf, None)
-        assert fit._count(filtered, "affine", [1, 1, 0, 1, 1, 0], 3) == (-np.inf, None)
+            assert fit._count(filtered, "affine", [1e308, 0, 0, 0, 1e308, 0]) == (-np.inf, None)
+        assert fit._count(filtered, "affine", [1, 1, 0, 1, 1, 0]) == (-np.inf, None)
 
     def test_homography_trial_with_vanishing_denominator(self):
         # a backtracking trial hits "homography denominator ~ 0"; it must
@@ -178,11 +179,11 @@ class TestFitDirect:
         assert n_once < gathers["n"]
 
 
-def _ascend_scoring_twice(filtered, stage, g0, steps, lr, betas, tol, control_grid):
+def _ascend_scoring_twice(filtered, stage, g0, steps, lr, betas, tol):
     """The ascent loop that scores every accepted point a second time."""
 
     def count_and_grad(g):
-        sample = filtered.gather(fit._build_transform(stage, g, control_grid))
+        sample = filtered.gather(Transform(stage, g))
         return sample.c, sample.dc_dg()
 
     g = np.asarray(g0, dtype=np.float64).copy()
@@ -200,7 +201,7 @@ def _ascend_scoring_twice(filtered, stage, g0, steps, lr, betas, tol, control_gr
         accepted = False
         for _ in range(fit.MAX_BACKTRACKS):
             g_try = g + lr * scale * direction
-            if fit._count(filtered, stage, g_try, control_grid)[0] >= c_cur:
+            if fit._count(filtered, stage, g_try)[0] >= c_cur:
                 accepted = True
                 break
             scale *= 0.5

@@ -1,7 +1,12 @@
 import numpy as np
 import pytest
 
-from helpers import bilinear_sample_backward_reference, bilinear_sample_reference
+from helpers import (
+    bilinear_sample_backward_reference,
+    bilinear_sample_reference,
+    tps_apply_reference,
+    tps_cardinal_reference,
+)
 from softalign import geometry
 from softalign.errors import InvariantError
 from softalign.evalkit import mask_iou
@@ -16,6 +21,7 @@ from softalign.geometry import (
     bilinear_sample_stack_grad,
     jacobian_many,
     make_tps,
+    tps_cardinal_values,
     tps_control_points,
     transform_sampling_grid,
 )
@@ -77,6 +83,8 @@ class TestTransformConstruction:
             Transform.homography([1, 0, 0, 0, 1, 0, 0])
         with pytest.raises(ValueError):
             make_tps(np.zeros((8, 2)))
+        with pytest.raises(ValueError, match="at least 2x2"):
+            make_tps(np.zeros(2), control_grid=1)
 
     def test_degenerate_linear_part_rejected(self):
         with pytest.raises(ValueError, match="degenerate"):
@@ -201,6 +209,85 @@ class TestTps:
         assert T.params.size == 32
         pts = np.random.default_rng(13).uniform(-1, 1, size=(50, 2))
         np.testing.assert_allclose(apply(T, pts), pts, atol=1e-9)
+
+
+class TestTpsLinearMap:
+    """The cached cardinal map against the per-transform solve it replaced."""
+
+    @pytest.mark.parametrize("control_grid", [3, 4])
+    def test_apply_matches_per_transform_solve(self, control_grid):
+        rng = np.random.default_rng(40 + control_grid)
+        pts = np.vstack([rng.uniform(-1, 1, size=(200, 2)), rng.uniform(-3, 3, size=(200, 2))])
+        assert (np.abs(pts) > 1).any()
+        for _ in range(10):
+            disp = rng.uniform(-0.3, 0.3, size=(control_grid**2, 2))
+            T = make_tps(disp, control_grid=control_grid)
+            np.testing.assert_allclose(
+                apply(T, pts), tps_apply_reference(disp, pts, control_grid), rtol=0, atol=1e-12
+            )
+
+    @pytest.mark.parametrize("control_grid", [3, 4])
+    def test_jacobian_is_the_cardinal_matrix(self, control_grid):
+        rng = np.random.default_rng(50 + control_grid)
+        pts = rng.uniform(-1.5, 1.5, size=(60, 2))
+        T = make_tps(rng.uniform(-0.3, 0.3, size=(control_grid**2, 2)), control_grid=control_grid)
+        H = tps_cardinal_reference(pts, control_grid)
+        np.testing.assert_array_equal(tps_cardinal_values(pts, control_grid), H)
+        jac = jacobian_many(T, pts)
+        np.testing.assert_array_equal(jac[:, 0::2, 0], H)
+        np.testing.assert_array_equal(jac[:, 1::2, 1], H)
+        assert not jac[:, 1::2, 0].any() and not jac[:, 0::2, 1].any()
+
+
+class TestParametricFixedValues:
+    """Affine and homography maps on dyadic inputs, where every result is exact."""
+
+    AFFINE_PTS = np.array([(0, 0), (1, -1), (-2, 0.5), (4, 2)], dtype=float)
+    HOMOGRAPHY_PTS = np.array([(0, 0), (4, 0), (0, -1), (2, 1)], dtype=float)
+    AFFINE = Transform.affine([0.5, -0.25, 0.125, 0.75, 1.5, -0.5])
+    HOMOGRAPHY = Transform.homography([1, 0.5, -0.25, -0.5, 2, 0.75, 0.25, 0.5])
+
+    def test_affine(self):
+        expected = [[0.125, -0.5], [0.875, -1.25], [-1.0, -1.25], [1.625, 5.5]]
+        assert np.array_equal(apply(self.AFFINE, self.AFFINE_PTS), expected)
+        xp, yp = apply_many("affine", self.AFFINE.params[None], self.AFFINE_PTS)
+        assert np.array_equal(np.stack([xp[0], yp[0]], axis=1), expected)
+        jac = jacobian_many(self.AFFINE, self.AFFINE_PTS)
+        x, y = self.AFFINE_PTS.T
+        one, zero = np.ones(4), np.zeros(4)
+        assert np.array_equal(jac[:, :, 0], np.stack([x, y, one, zero, zero, zero], axis=1))
+        assert np.array_equal(jac[:, :, 1], np.stack([zero, zero, zero, x, y, one], axis=1))
+
+    def test_homography(self):
+        expected = [[-0.25, 0.75], [1.875, -0.625], [-1.5, -2.5], [1.125, 0.875]]
+        assert np.array_equal(apply(self.HOMOGRAPHY, self.HOMOGRAPHY_PTS), expected)
+        xp, yp = apply_many("homography", self.HOMOGRAPHY.params[None], self.HOMOGRAPHY_PTS)
+        assert np.array_equal(np.stack([xp[0], yp[0]], axis=1), expected)
+        jac = jacobian_many(self.HOMOGRAPHY, self.HOMOGRAPHY_PTS)
+        assert np.array_equal(jac[:, :, 0], [
+            [0, 0, 1, 0, 0, 0, 0, 0],
+            [2, 0, 0.5, 0, 0, 0, -3.75, 0],
+            [0, -2, 2, 0, 0, 0, 0, -3],
+            [1, 0.5, 0.5, 0, 0, 0, -1.125, -0.5625],
+        ])
+        assert np.array_equal(jac[:, :, 1], [
+            [0, 0, 0, 0, 0, 1, 0, 0],
+            [0, 0, 0, 2, 0, 0.5, 1.25, 0],
+            [0, 0, 0, 0, -2, 2, 0, -5],
+            [0, 0, 0, 1, 0.5, 0.5, -0.875, -0.4375],
+        ])
+
+    def test_homography_vanishing_denominator(self):
+        pts = np.array([(1.0, 0.0), (0.0, -2.0)])
+        message = "homography denominator ~ 0 at point (0, -2)"
+        for call in (
+            lambda: apply(self.HOMOGRAPHY, pts),
+            lambda: apply_many("homography", self.HOMOGRAPHY.params[None], pts),
+            lambda: jacobian_many(self.HOMOGRAPHY, pts),
+        ):
+            with pytest.raises(ValueError) as exc:
+                call()
+            assert str(exc.value) == message
 
 
 class TestJacobian:

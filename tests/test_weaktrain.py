@@ -52,6 +52,8 @@ class TestConfigAndInit:
             TrainConfig(batch_size=0)
         with pytest.raises(ValueError, match="step"):
             TrainConfig(step=0.0)
+        with pytest.raises(ValueError, match="step"):
+            TrainConfig(step=float("nan"))
         with pytest.raises(ValueError, match="family"):
             TrainConfig(family="rigid")
 
