@@ -543,8 +543,6 @@ def cmd_synth(args) -> int:
         "outdir": args.outdir,
     }
     report = _report_skeleton("synth", config)
-    if args.n < 1:
-        raise ValueError("--n must be >= 1")
     os.makedirs(args.outdir, exist_ok=True)
     scale_range = tuple(args.scale_range) if args.scale_range else None
 
@@ -696,6 +694,7 @@ def _checked(convert, accept, requirement: str):
 
 _positive_float = _checked(float, lambda v: np.isfinite(v) and v > 0, "a finite number > 0")
 _nonnegative_int = _checked(int, lambda v: v >= 0, "an integer >= 0")
+_positive_int = _checked(int, lambda v: v >= 1, "an integer >= 1")
 
 
 def _add_top_k_flag(p):
@@ -756,8 +755,8 @@ def _add_eval_flags(p):
 
 
 def _add_fit_flags(p):
-    p.add_argument("--iterations", type=int, default=200, help="ascent iterations per stage (default %(default)s)")
-    p.add_argument("--restarts", type=int, default=4, help="perturbed restarts (default %(default)s)")
+    p.add_argument("--iterations", type=_positive_int, default=200, help="ascent iterations per stage (default %(default)s)")
+    p.add_argument("--restarts", type=_positive_int, default=4, help="perturbed restarts (default %(default)s)")
     _add_top_k_flag(p)
 
 
@@ -795,10 +794,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("synth", help="generate a seeded synthetic dataset")
     p.add_argument("--outdir", required=True, help="output directory (created if missing)")
-    p.add_argument("--n", type=int, default=20, help="number of pairs (default %(default)s)")
+    p.add_argument("--n", type=_positive_int, default=20, help="number of pairs (default %(default)s)")
     p.add_argument("--family", choices=("affine", "tps"), default="affine")
     p.add_argument("--magnitude", type=float, default=0.5, help="warp magnitude in [0, 1] (default %(default)s)")
-    p.add_argument("--image-size", nargs="+", type=int, default=[64], metavar="N", help="synthetic image size: H or H W (default 64)")
+    p.add_argument("--image-size", nargs="+", type=_positive_int, default=[64], metavar="N", help="synthetic image size: H or H W (default 64)")
     p.add_argument("--keypoints", type=int, default=20, metavar="N", help="keypoints per pair, 0 to disable (default %(default)s)")
     p.add_argument("--rotation-max", type=float, default=None, metavar="DEG", help="override the rotation range")
     p.add_argument("--scale-range", nargs=2, type=float, default=None, metavar=("LO", "HI"), help="override the scale range")
@@ -811,10 +810,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train", help="train the weak-supervision regressor")
     p.add_argument("data", help="JSONL manifest of training pairs")
-    p.add_argument("--epochs", type=int, default=30, help="training epochs (default %(default)s)")
-    p.add_argument("--batch-size", type=int, default=16, help="minibatch size (default %(default)s)")
+    p.add_argument("--epochs", type=_positive_int, default=30, help="training epochs (default %(default)s)")
+    p.add_argument("--batch-size", type=_positive_int, default=16, help="minibatch size (default %(default)s)")
     p.add_argument("--step", type=_positive_float, default=1e-3, help="optimizer step size (default %(default)s)")
-    p.add_argument("--hidden", type=int, default=64, help="hidden width (default %(default)s)")
+    p.add_argument("--hidden", type=_positive_int, default=64, help="hidden width (default %(default)s)")
     p.add_argument("--family", choices=geometry.FAMILIES, default="affine")
     p.add_argument("--checkpoint", default="model.json", metavar="FILE", help="checkpoint path (default %(default)s)")
     _add_grid_flags(p)
@@ -827,7 +826,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--inliers", type=int, default=20, help="demo cloud collinear points (default %(default)s)")
     p.add_argument("--outliers", type=int, default=30, help="demo cloud clutter points (default %(default)s)")
     p.add_argument("--mode", choices=("ransac", "soft-grid"), default="soft-grid")
-    p.add_argument("--iters", type=int, default=500, help="sampling iterations for ransac mode (default %(default)s)")
+    p.add_argument("--iters", type=_positive_int, default=500, help="sampling iterations for ransac mode (default %(default)s)")
     p.add_argument("--t", type=_positive_float, default=0.5, help="band half-width (default %(default)s)")
     _add_report_flags(p)
     p.set_defaults(func=cmd_linedemo)
@@ -847,7 +846,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--target", required=True, help="target image or feature grid")
     p.add_argument("--keypoints", help="keypoint CSV; adds PCK to the report")
     p.add_argument("--family", choices=sorted(fit.MINIMAL_SAMPLE), default="affine")
-    p.add_argument("--iters", type=int, default=500, help="hypothesis samples (default %(default)s)")
+    p.add_argument("--iters", type=_positive_int, default=500, help="hypothesis samples (default %(default)s)")
     _add_grid_flags(p)
     _add_threshold_flag(p)
     _add_eval_flags(p)

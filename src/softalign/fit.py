@@ -457,19 +457,57 @@ def _line_through(p: np.ndarray, q: np.ndarray) -> tuple[float, float]:
     return _canonical_line(theta, rho)
 
 
+#: largest number of bytes the soft-grid line demo may ask for in one go.
+#: Its biggest arrays are the score raster (8 bytes per lattice cell) and,
+#: for each angle, the band test over every (cell, offset) pair: an 8-byte
+#: distance and a 1-byte flag, alive together.  At 256 MiB each, the demo's
+#: peak stays near half a GiB, a small share of a desktop's memory; that
+#: admits clouds up to about 130 units across (a cloud w units wide has
+#: about w^2 cells and 11 w offsets, so 9 * 11 w^3 bytes).
+SOFT_GRID_MAX_BYTES = 256 * 2**20
+
+
+def _lattice_box(points: np.ndarray) -> tuple[float, float, float, float]:
+    """``(x0, x1, y0, y1)``: the point bounding box padded by one cell, in floats."""
+    if not np.isfinite(points).all():
+        raise ValueError("points must be finite")
+    return (
+        float(np.floor(points[:, 0].min())) - 1, float(np.ceil(points[:, 0].max())) + 1,
+        float(np.floor(points[:, 1].min())) - 1, float(np.ceil(points[:, 1].max())) + 1,
+    )
+
+
+def _check_soft_grid_bytes(box, bytes_per_cell: float, what: str) -> None:
+    """Refuse an array of ``bytes_per_cell`` per lattice cell of ``box``
+    that would pass :data:`SOFT_GRID_MAX_BYTES`."""
+    x0, x1, y0, y1 = box
+    nbytes = bytes_per_cell * (x1 - x0 + 1) * (y1 - y0 + 1)
+    if not nbytes <= SOFT_GRID_MAX_BYTES:
+        raise ValueError(
+            f"point extent {x1 - x0:g} x {y1 - y0:g} needs {nbytes:.3g} bytes for the {what}, "
+            f"over the soft-grid limit of {SOFT_GRID_MAX_BYTES} bytes"
+        )
+
+
+def _band_count(points: np.ndarray, theta: float, rho: float, t: float) -> int:
+    """Points strictly within ``t`` of the line ``(theta, rho)``."""
+    proj = points[:, 0] * np.cos(theta) + points[:, 1] * np.sin(theta)
+    return int(np.count_nonzero(np.abs(proj - rho) < t))
+
+
 def splat_points(points: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Bilinear rasterization of points onto an integer lattice.
 
     Returns ``(scores, xs, ys)``: a 2-D score array and the lattice
     coordinates of its columns and rows.  The lattice pads the point
     bounding box by one cell on every side, so all splat mass lands
-    inside it.
+    inside it.  A raster over :data:`SOFT_GRID_MAX_BYTES` is refused with
+    ``ValueError`` before anything is allocated.
     """
     points = np.asarray(points, dtype=np.float64)
-    x0 = int(np.floor(points[:, 0].min())) - 1
-    x1 = int(np.ceil(points[:, 0].max())) + 1
-    y0 = int(np.floor(points[:, 1].min())) - 1
-    y1 = int(np.ceil(points[:, 1].max())) + 1
+    box = _lattice_box(points)
+    _check_soft_grid_bytes(box, 8.0, "raster")
+    x0, x1, y0, y1 = (int(v) for v in box)
     xs = np.arange(x0, x1 + 1, dtype=np.float64)
     ys = np.arange(y0, y1 + 1, dtype=np.float64)
     scores = np.zeros((ys.size, xs.size))
@@ -484,14 +522,21 @@ def splat_points(points: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray
     return scores, xs, ys
 
 
+RHO_STEP = 0.25
+
+
+def _rho_steps(points: np.ndarray, t: float) -> float:
+    """Offset steps on each side of zero that cover every point with slack t+1."""
+    return float(np.ceil((float(np.hypot(points[:, 0], points[:, 1]).max()) + t + 1.0) / RHO_STEP))
+
+
 def line_hypothesis_grid(points: np.ndarray, t: float) -> tuple[np.ndarray, np.ndarray]:
     """Exhaustive (theta, rho) grid: 1-degree angles over [0, pi), rho in
     0.25 steps aligned to zero and covering every point with slack t+1."""
     points = np.asarray(points, dtype=np.float64)
     thetas = np.arange(180, dtype=np.float64) * (np.pi / 180.0)
-    rho_max = float(np.hypot(points[:, 0], points[:, 1]).max()) + t + 1.0
-    n = int(np.ceil(rho_max / 0.25))
-    rhos = np.arange(-n, n + 1, dtype=np.float64) * 0.25
+    n = int(_rho_steps(points, t))
+    rhos = np.arange(-n, n + 1, dtype=np.float64) * RHO_STEP
     return thetas, rhos
 
 
@@ -507,7 +552,11 @@ def fit_line_demo(
     ``ransac`` mode samples point pairs and counts points within distance
     ``t`` (strict).  ``soft-grid`` mode rasterizes the points to a score
     lattice and sweeps an exhaustive (angle, offset) hypothesis grid,
-    scoring each line by the score mass inside its band.
+    scoring each line by the score mass inside its band; it refuses, with
+    ``ValueError``, a point extent whose raster or per-angle band test
+    would exceed :data:`SOFT_GRID_MAX_BYTES`.  In ``ransac`` mode, when no
+    draw yields two distinct points, the vertical line through the first
+    point is scored and flagged ``degenerate``.
     """
     points = np.asarray(points, dtype=np.float64)
     if points.ndim != 2 or points.shape[1] != 2:
@@ -519,6 +568,8 @@ def fit_line_demo(
         raise ValueError("threshold must be > 0")
     if mode not in ("ransac", "soft-grid"):
         raise ValueError(f"unknown mode {mode!r}")
+    if mode == "ransac" and iters < 1:
+        raise ValueError("iters must be >= 1")
 
     if np.all(points == points[0]):
         # Any line through the single location scores n; report the
@@ -534,13 +585,20 @@ def fit_line_demo(
             if np.all(points[a] == points[b]):
                 continue
             theta, rho = _line_through(points[a], points[b])
-            proj = points[:, 0] * np.cos(theta) + points[:, 1] * np.sin(theta)
-            count = int(np.count_nonzero(np.abs(proj - rho) < t))
+            count = _band_count(points, theta, rho, t)
             if best is None or count > best[0]:
                 best = (count, theta, rho)
+        if best is None:
+            # no draw found two distinct points: score the vertical line
+            # through the first point, as for a single location, and flag it
+            theta, rho = _canonical_line(0.0, points[0, 0])
+            count = _band_count(points, theta, rho, t)
+            return LineFitResult(theta, rho, float(count), mode, degenerate=True)
         count, theta, rho = best
         return LineFitResult(theta, rho, float(count), mode)
 
+    offsets = 2 * _rho_steps(points, t) + 1
+    _check_soft_grid_bytes(_lattice_box(points), 9.0 * offsets, "per-angle band test")
     scores, xs, ys = splat_points(points)
     cell_x = np.broadcast_to(xs, scores.shape).ravel()
     cell_y = np.broadcast_to(ys[:, None], scores.shape).ravel()

@@ -266,6 +266,16 @@ def apply_many(family: str, params, pts) -> tuple[np.ndarray, np.ndarray]:
 
 def jacobian_many(T: Transform, pts) -> np.ndarray:
     """``(n, K, 2)`` stack of parameter Jacobians; [:, :, 0] is d x'/d g."""
+    return parameter_jacobians(T.family, T.params[None], pts, T.control_grid)[0]
+
+
+def parameter_jacobians(family: str, params, pts, control_grid: int | None = 3) -> np.ndarray:
+    """``(B, n, K, 2)`` parameter Jacobians at ``pts`` for ``(B, K)`` parameter rows.
+
+    ``[b, :, :, 0]`` is d x'/d g under row b.  Only the homography's
+    Jacobian depends on the parameters: for affine and TPS the leading
+    axis has length 1, shared by every row.
+    """
     pts = np.asarray(pts, dtype=np.float64)
     if pts.ndim != 2 or pts.shape[1] != 2:
         raise ValueError(f"expected (n, 2) points, got shape {pts.shape}")
@@ -273,37 +283,37 @@ def jacobian_many(T: Transform, pts) -> np.ndarray:
     x, y = pts[:, 0], pts[:, 1]
     ones = np.ones(n)
 
-    if T.family == AFFINE:
-        jac = np.zeros((n, 6, 2))
-        jac[:, 0, 0] = x
-        jac[:, 1, 0] = y
-        jac[:, 2, 0] = ones
-        jac[:, 3, 1] = x
-        jac[:, 4, 1] = y
-        jac[:, 5, 1] = ones
+    if family == AFFINE:
+        jac = np.zeros((1, n, 6, 2))
+        jac[..., 0, 0] = x
+        jac[..., 1, 0] = y
+        jac[..., 2, 0] = ones
+        jac[..., 3, 1] = x
+        jac[..., 4, 1] = y
+        jac[..., 5, 1] = ones
         return jac
 
-    if T.family == HOMOGRAPHY:
-        g = T.params
+    if family == HOMOGRAPHY:
+        g = np.asarray(params, dtype=np.float64).T[:, :, None]  # g[i] is a (B, 1) column
         xp, yp = _homography_map(g, x, y)
         den = g[6] * x + g[7] * y + 1.0
-        jac = np.zeros((n, 8, 2))
-        jac[:, 0, 0] = x / den
-        jac[:, 1, 0] = y / den
-        jac[:, 2, 0] = ones / den
-        jac[:, 3, 1] = x / den
-        jac[:, 4, 1] = y / den
-        jac[:, 5, 1] = ones / den
-        jac[:, 6, 0] = -xp * x / den
-        jac[:, 7, 0] = -xp * y / den
-        jac[:, 6, 1] = -yp * x / den
-        jac[:, 7, 1] = -yp * y / den
+        jac = np.zeros(den.shape + (8, 2))
+        jac[..., 0, 0] = x / den
+        jac[..., 1, 0] = y / den
+        jac[..., 2, 0] = ones / den
+        jac[..., 3, 1] = x / den
+        jac[..., 4, 1] = y / den
+        jac[..., 5, 1] = ones / den
+        jac[..., 6, 0] = -xp * x / den
+        jac[..., 7, 0] = -xp * y / den
+        jac[..., 6, 1] = -yp * x / den
+        jac[..., 7, 1] = -yp * y / den
         return jac
 
-    basis = tps_cardinal_values(pts, T.control_grid)  # (n, n_ctrl), independent of g
-    jac = np.zeros((n, T.params.size, 2))
-    jac[:, 0::2, 0] = basis  # dx_p moves x' only
-    jac[:, 1::2, 1] = basis  # dy_p moves y' only
+    basis = tps_cardinal_values(pts, control_grid)  # (n, n_ctrl), independent of g
+    jac = np.zeros((1, n, 2 * basis.shape[1], 2))
+    jac[0, :, 0::2, 0] = basis  # dx_p moves x' only
+    jac[0, :, 1::2, 1] = basis  # dy_p moves y' only
     return jac
 
 
@@ -376,6 +386,15 @@ def bilinear_slopes(c00, c01, c10, c11, du, dv):
     return d_du, d_dv
 
 
+def _lattice(points):
+    """``(corner, frac)``: ``(2, ...)`` stacks of the integer top-left
+    corners ``(u0, v0)`` and the fractions ``(du, dv)``, after snapping
+    onto nearby knots; each component is contiguous."""
+    uv = _snap(np.moveaxis(_coerce_coords(points), -1, 0).copy())
+    corner = np.floor(uv)
+    return corner.astype(np.int64), uv - corner
+
+
 def lattice_cells(points):
     """Top-left lattice corner ``(u0, v0)`` of every (u, v) point, plus fractions.
 
@@ -384,12 +403,8 @@ def lattice_cells(points):
     snapped onto it first, so a point on a knot lies in the cell that
     starts there (the half-open ``[n, n+1)`` convention).
     """
-    pts = _coerce_coords(points)
-    u = _snap(pts[..., 0])
-    v = _snap(pts[..., 1])
-    u0 = np.floor(u).astype(np.int64)
-    v0 = np.floor(v).astype(np.int64)
-    return u0, v0, u - u0, v - v0
+    (u0, v0), (du, dv) = _lattice(points)
+    return u0, v0, du, dv
 
 
 def padded_corners(points, h: int, w: int):
@@ -398,17 +413,15 @@ def padded_corners(points, h: int, w: int):
     Indices address an ``(h + 2) x (w + 2)`` image whose one-cell zero
     border surrounds the h x w interior, flattened row-major: every
     out-of-range corner clips onto a zero border cell, so no validity
-    masks are needed.  Returns ``((i00, i01, i10, i11), du, dv)``, each
-    with the leading shape of ``points``.
+    masks are needed.  Returns ``(corners, du, dv)``: ``corners`` stacks
+    the indices of the (0, 0), (0, 1), (1, 0) and (1, 1) corners on a
+    leading axis of 4, and all three keep the leading shape of ``points``.
     """
-    u0, v0, du, dv = lattice_cells(points)
-    ui = np.clip(u0 + 1, 0, h + 1)
-    vi = np.clip(v0 + 1, 0, w + 1)
-    ui1 = np.clip(u0 + 2, 0, h + 1)
-    vi1 = np.clip(v0 + 2, 0, w + 1)
-    stride = w + 2
-    corners = (ui * stride + vi, ui * stride + vi1, ui1 * stride + vi, ui1 * stride + vi1)
-    return corners, du, dv
+    (u0, v0), (du, dv) = _lattice(points)
+    step = np.array([1, 2]).reshape((2,) + (1,) * u0.ndim)  # near and far corner
+    rows = np.clip(u0 + step, 0, h + 1) * (w + 2)
+    cols = np.clip(v0 + step, 0, w + 1)
+    return (rows[:, None] + cols[None]).reshape((4,) + u0.shape), du, dv
 
 
 def _padded_flat(imgs: np.ndarray) -> np.ndarray:

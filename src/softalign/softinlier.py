@@ -50,6 +50,7 @@ from interpolation, never from re-binarization or sigmoid smoothing.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -233,19 +234,19 @@ def score_breakdown(
 
 
 def _chain_to_params(
-    T: geometry.Transform, xy: np.ndarray, dc_du: np.ndarray, dc_dv: np.ndarray, h: int, w: int
+    jac: np.ndarray, dc_du: np.ndarray, dc_dv: np.ndarray, h: int, w: int
 ) -> np.ndarray:
-    """dc/dg from per-target-cell derivatives in source-grid units.
+    """``(B, K)`` dc/dg from ``(B, m)`` per-target-cell derivatives in
+    source-grid units.
 
-    Chains through the normalized-to-grid scaling and the transform's
-    parameter Jacobian at the target points ``xy``.
+    Chains through the normalized-to-grid scaling and the parameter
+    Jacobians ``jac`` at the target points: ``(B, m, K, 2)``, or
+    ``(1, m, K, 2)`` shared by every row (:func:`geometry.parameter_jacobians`).
     """
-    jac = geometry.jacobian_many(T, xy)  # (m, K, 2); [..., 0] is d x'/d g
+    spec, jac = ("bm,mk->bk", jac[0]) if len(jac) == 1 else ("bm,bmk->bk", jac)
     du_dy = (h - 1) / 2.0
     dv_dx = (w - 1) / 2.0
-    return np.einsum("m,mk->k", dc_du * du_dy, jac[:, :, 1]) + np.einsum(
-        "m,mk->k", dc_dv * dv_dx, jac[:, :, 0]
-    )
+    return np.einsum(spec, dc_du * du_dy, jac[..., 1]) + np.einsum(spec, dc_dv * dv_dx, jac[..., 0])
 
 
 def soft_inlier_grad(
@@ -274,7 +275,8 @@ def soft_inlier_grad(
     s2 = s.data.reshape(h * w, h * w)
     dc_du = np.sum(s2 * d_du, axis=0)  # per target cell
     dc_dv = np.sum(s2 * d_dv, axis=0)
-    return _chain_to_params(T, xy, dc_du, dc_dv, h, w), dc_ds
+    jac = geometry.jacobian_many(T, xy)[None]
+    return _chain_to_params(jac, dc_du[None], dc_dv[None], h, w)[0], dc_ds
 
 
 def _overlap(d: int, n: int) -> tuple[slice, slice]:
@@ -283,74 +285,189 @@ def _overlap(d: int, n: int) -> tuple[slice, slice]:
 
 
 class FilteredScores:
-    """``S_t`` of one correlation volume: the gather path of the soft count.
+    """``S_t`` of a stack of correlation volumes: the gather path of the soft count.
 
     ``S_t[p, q, k, l]`` sums ``s[i, j, k, l]`` over the source cells
-    strictly within ``t`` of (p, q) — the cells ``identity_mask`` marks —
-    and is held in a one-cell zero border around the source dims, so
-    ``S_t[., ., k, l]`` can be sampled with :func:`geometry.padded_corners`.
-    ``scores`` is the correlation data itself; when the disk is a single
-    cell (``t <= 1``) it is a view of the border's interior, so the pair is
-    stored once.  The normalized target-cell centres, which every score
-    maps through ``T``, are computed here once as well.
+    strictly within ``t`` of (p, q) — the cells ``identity_mask`` marks.
+    ``padded[n]`` holds pair n's ``S_t`` in a one-cell zero border around
+    the source dims, so ``S_t[., ., k, l]`` can be sampled with
+    :func:`geometry.padded_corners`; all pairs share one ``(n, h + 2,
+    w + 2, h, w)`` array.  ``scores[n]`` is pair n's correlation data;
+    when the disk is a single cell (``t <= 1``) ``scores`` is a view of
+    the border's interior, so the pairs are stored once.  The normalized
+    target-cell centres, which every score maps through ``T``, are
+    computed here once, and so is the TPS cardinal matrix at them, on the
+    first TPS gather.
+
+    ``volumes`` is one :class:`CorrelationTensor`, or an iterable of
+    ``count`` of them (default ``len(volumes)``) sharing one grid; it is
+    read one volume at a time, so a generator of fresh correlations never
+    holds more than one of them.
     """
 
-    def __init__(self, s: CorrelationTensor, t: float):
+    def __init__(self, volumes, t: float, count: int | None = None):
         if not t > 0.0:
             raise ValueError(f"threshold must be positive, got {t}")
+        if isinstance(volumes, CorrelationTensor):
+            volumes, count = (volumes,), 1
+        elif count is None:
+            count = len(volumes)
+        if count < 1:
+            raise ValueError("need at least one correlation volume")
+        n = 0
+        for n, s in enumerate(volumes, start=1):
+            if n > count:
+                raise ValueError(f"more than {count} correlation volumes")
+            if n == 1:
+                copy_scores = self._allocate(s, t, count)
+            elif s.data.shape != self.scores.shape[1:]:
+                raise ValueError(
+                    f"correlation shape {s.data.shape} differs from the first, "
+                    f"{self.scores.shape[1:]}"
+                )
+            self._fill(n - 1, s)
+            if copy_scores:
+                self.scores[n - 1] = s.data
+        if n != count:
+            raise ValueError(f"expected {count} correlation volumes, got {n}")
+
+    def _allocate(self, s: CorrelationTensor, t: float, count: int) -> bool:
+        """Size the stack from the first volume; true when ``scores`` is a
+        stack of its own that each volume must be copied into."""
         h, w = s.source_shape
         if s.target_shape != (h, w):
             raise ValueError(
                 f"source and target grids must match, got {s.data.shape}"
             )
-        padded = np.zeros((h + 2, w + 2, h, w))
-        inner = padded[1:-1, 1:-1]
         r = int(min(t, max(h, w)))  # no disk reaches past the grid
-        offsets = [
+        self._offsets = [
             (di, dj)
             for di in range(-min(r, h - 1), min(r, h - 1) + 1)
             for dj in range(-min(r, w - 1), min(r, w - 1) + 1)
             if float(di * di + dj * dj) < t * t
         ]
-        for di, dj in offsets:
+        self.grid_shape = (h, w)
+        self.padded = np.zeros((count, h + 2, w + 2, h, w))
+        self.points = geometry.cell_points(h, w)
+        self._flat = self.padded.reshape(-1)
+        self._pair_size = self.padded[0].size
+        self._cells = np.arange(h * w)
+        self._tps = {}  # control grid -> (cardinal matrix at the points, control points)
+        self._jac = {}  # (family, control grid) -> fixed parameter Jacobians at the points
+        if self._offsets == [(0, 0)]:
+            self.scores = self.padded[:, 1:-1, 1:-1]
+        elif count == 1:
+            self.scores = s.data[None]
+        else:
+            self.scores = np.empty((count, h, w, h, w))
+            return True
+        return False
+
+    def _fill(self, n: int, s: CorrelationTensor) -> None:
+        h, w = self.grid_shape
+        inner = self.padded[n, 1:-1, 1:-1]
+        for di, dj in self._offsets:
             (pi, si), (pj, sj) = _overlap(di, h), _overlap(dj, w)
             inner[pi, pj] += s.data[si, sj]
-        self.grid_shape = (h, w)
-        self.scores = inner if offsets == [(0, 0)] else s.data
-        self.points = geometry.cell_points(h, w)
-        self.padded = padded
-        self._cells = np.arange(h * w)
 
-    def gather(self, T: geometry.Transform) -> "ScoreSample":
-        """``S_t`` sampled at ``T``'s source point of every target cell.
+    def __len__(self) -> int:
+        return len(self.padded)
+
+    def gather(self, T: geometry.Transform, pair: int = 0) -> "ScoreSample":
+        """``S_t`` of stacked pair ``pair`` sampled at ``T``'s source point of
+        every target cell: :meth:`gather_many` for a batch of one.
 
         Raises ``ValueError`` when ``T`` cannot map a target cell to a
         finite source point.
         """
+        return ScoreSample(self, T, self._sample(T.family, T.params[None], [pair], T.control_grid))
+
+    def gather_many(self, family: str, params, pairs, grad: bool = False):
+        """Soft counts of ``B`` stacked pairs, each at its own parameter row.
+
+        ``params`` is ``(B, K)``; row b is scored on stacked pair
+        ``pairs[b]``.  Returns ``c`` of shape ``(B,)``, or ``(c, dc_dg)``
+        with ``dc_dg`` of shape ``(B, K)`` when ``grad`` is set.  Row b
+        equals ``gather(Transform(family, params[b]), pairs[b])`` to
+        rounding.  When a row cannot be scored, the ``ValueError`` raised
+        is the one that per-row loop would raise first.
+        """
+        params = np.asarray(params, dtype=np.float64)
+        try:
+            rows = [geometry.Transform(family, row) for row in params]
+            sample = self._sample(family, params, pairs, rows[0].control_grid)
+        except ValueError:
+            for row, pair in zip(params, pairs):  # the first failing row's own error
+                self.gather(geometry.Transform(family, row), pair)
+            raise
+        return (sample.c, self._dc_dg(sample)) if grad else sample.c
+
+    def _sample(self, family: str, params: np.ndarray, pairs, control_grid) -> "_Sample":
+        """The one gather core: map, find corners, read ``S_t``, blend."""
         h, w = self.grid_shape
-        uv = geometry.source_cells(T, self.points, h, w)
+        if family == geometry.TPS:
+            basis, control = self._tps_basis(control_grid)
+            mapped = basis @ (control + params.reshape(len(params), -1, 2))
+            x_src, y_src = mapped[..., 0], mapped[..., 1]
+        else:
+            x_src, y_src = geometry.apply_many(family, params, self.points)
+        uv = np.stack(normalized_to_cells(x_src, y_src, h, w), axis=-1)
         corners, du, dv = geometry.padded_corners(uv, h, w)
-        flat = self.padded.reshape(-1)
-        values = tuple(flat.take(idx * (h * w) + self._cells) for idx in corners)
-        return ScoreSample(self, T, values, du, dv)
+        start = np.asarray(pairs, dtype=np.int64)[:, None] * self._pair_size + self._cells
+        values = self._flat.take(corners * (h * w) + start)
+        c = np.sum(geometry.bilinear_blend(*values, du, dv), axis=-1)
+        return _Sample(family, params, control_grid, values, du, dv, c)
+
+    def _tps_basis(self, control_grid: int) -> tuple[np.ndarray, np.ndarray]:
+        if control_grid not in self._tps:
+            self._tps[control_grid] = (
+                geometry.tps_cardinal_values(self.points, control_grid),
+                geometry.tps_control_points(control_grid),
+            )
+        return self._tps[control_grid]
+
+    def _jacobians(self, sample: "_Sample") -> np.ndarray:
+        """The parameter Jacobians at the points, cached where fixed."""
+        if sample.family == geometry.HOMOGRAPHY:
+            return geometry.parameter_jacobians(sample.family, sample.params, self.points)
+        key = (sample.family, sample.control_grid)
+        if key not in self._jac:
+            self._jac[key] = geometry.parameter_jacobians(
+                sample.family, None, self.points, sample.control_grid
+            )
+        return self._jac[key]
+
+    def _dc_dg(self, sample: "_Sample") -> np.ndarray:
+        """``(B, K)`` dc/dg, the same chain as :func:`soft_inlier_grad`'s."""
+        h, w = self.grid_shape
+        dc_du, dc_dv = geometry.bilinear_slopes(*sample.values, sample.du, sample.dv)
+        return _chain_to_params(self._jacobians(sample), dc_du, dc_dv, h, w)
+
+
+class _Sample(NamedTuple):
+    """What one gather leaves for its gradient: ``B`` rows of everything."""
+
+    family: str
+    params: np.ndarray
+    control_grid: int | None
+    values: np.ndarray  # (4, B, m) corner values, in padded_corners order
+    du: np.ndarray
+    dv: np.ndarray
+    c: np.ndarray
 
 
 class ScoreSample:
     """The soft count ``c`` at one transform, and its gradient on demand."""
 
-    def __init__(self, filtered: FilteredScores, T: geometry.Transform, corners, du, dv):
+    def __init__(self, filtered: FilteredScores, T: geometry.Transform, sample: _Sample):
         self.T = T
-        self.c = float(np.sum(geometry.bilinear_blend(*corners, du, dv)))
+        self.c = float(sample.c[0])
         self._filtered = filtered
-        self._corners = corners
-        self._du = du
-        self._dv = dv
+        self._sample = sample
 
     def dc_dg(self) -> np.ndarray:
         """dc/dg, the same chain as :func:`soft_inlier_grad`'s."""
-        dc_du, dc_dv = geometry.bilinear_slopes(*self._corners, self._du, self._dv)
-        h, w = self._filtered.grid_shape
-        return _chain_to_params(self.T, self._filtered.points, dc_du, dc_dv, h, w)
+        return self._filtered._dc_dg(self._sample)[0]
 
 
 def hard_inliers(mapped_x, mapped_y, src: np.ndarray, t: float, h: int, w: int) -> np.ndarray:

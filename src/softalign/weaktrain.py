@@ -11,11 +11,23 @@ The regressor is a two-layer perceptron over the flattened correlation
 tensor, with the output bias initialized to the identity transform and
 the output weights to zero, so the untrained model predicts the identity
 everywhere.
+
+:func:`train` correlates every pair once and holds the filtered scores
+``S_t`` of all pairs in one stacked :class:`softinlier.FilteredScores`.
+A training step works on a whole mini-batch at once: the batch's
+correlation rows ``X_b`` are copied from the stack, the forward pass is
+``Z = X_b @ W1.T`` (then the output layer), one batched gather scores
+every row of predicted parameters and returns ``dc/dg``, the backward
+pass is ``grad_W1 = dZ.T @ X_b`` and its ``W2`` counterpart, and Adam
+updates its moments and the parameters in place.  The per-epoch loss
+uses the same forward pass and gather, ``batch_size`` pairs at a time.
+:func:`loss_and_grad` is that step for a batch of one.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -72,8 +84,12 @@ class RegressorModel:
     b2: np.ndarray  # (K,)
 
     def __post_init__(self):
-        if self.family not in FAMILIES:
+        if not (isinstance(self.family, str) and self.family in FAMILIES):
             raise ValueError(f"unknown family {self.family!r}")
+        if not (_is_count(self.grid_h) and _is_count(self.grid_w)):
+            raise ValueError(
+                f"grid must be two positive ints, got {self.grid_h!r} x {self.grid_w!r}"
+            )
         self.W1 = np.asarray(self.W1, dtype=np.float64)
         self.b1 = np.asarray(self.b1, dtype=np.float64)
         self.W2 = np.asarray(self.W2, dtype=np.float64)
@@ -81,6 +97,8 @@ class RegressorModel:
         n_in = (self.grid_h * self.grid_w) ** 2
         k = PARAM_COUNTS[self.family]
         hidden = self.b1.size
+        if self.b1.ndim != 1 or hidden < 1:
+            raise ValueError(f"b1 must be a non-empty vector, got shape {self.b1.shape}")
         if self.W1.shape != (hidden, n_in):
             raise ValueError(f"W1 must be ({hidden}, {n_in}), got {self.W1.shape}")
         if self.W2.shape != (k, hidden):
@@ -111,11 +129,15 @@ def init_model(grid_h: int, grid_w: int, cfg: TrainConfig | None = None) -> Regr
     return RegressorModel(cfg.family, grid_h, grid_w, W1, b1, W2, b2)
 
 
-def _forward(model: RegressorModel, vec: np.ndarray):
-    z = model.W1 @ vec + model.b1
-    a = np.maximum(z, 0.0)
-    g = model.W2 @ a + model.b2
-    return g, a, z
+def _forward(model: RegressorModel, X: np.ndarray):
+    """The regressor on the ``(B, n_in)`` rows of ``X``: ``(G, A, Z)``, the
+    ``(B, K)`` parameters, hidden activations and pre-activations."""
+    Z = X @ model.W1.T
+    Z += model.b1
+    A = np.maximum(Z, 0.0)
+    G = A @ model.W2.T
+    G += model.b2
+    return G, A, Z
 
 
 def predict(model: RegressorModel, s: CorrelationTensor) -> Transform:
@@ -125,29 +147,31 @@ def predict(model: RegressorModel, s: CorrelationTensor) -> Transform:
         raise ValueError(
             f"correlation shape {s.data.shape} does not match model grid {h}x{w}"
         )
-    g, _, _ = _forward(model, s.data.ravel())
-    return Transform(model.family, g)
+    G, _, _ = _forward(model, s.data.reshape(1, -1))
+    return Transform(model.family, G[0])
 
 
-def _pair_loss(model: RegressorModel, filtered: FilteredScores) -> float:
-    """The loss alone for one cached pair: no gradient is built."""
-    g, _, _ = _forward(model, filtered.scores.ravel())
-    return -filtered.gather(Transform(model.family, g)).c
+def _batch_losses(
+    model: RegressorModel, filtered: FilteredScores, batch, grads=None
+) -> np.ndarray:
+    """Per-pair losses of the stacked pairs ``batch``, in one forward pass
+    and one gather.
 
-
-def _pair_loss_grad(model: RegressorModel, filtered: FilteredScores):
-    """Loss and parameter gradients for one cached pair."""
-    vec = filtered.scores.ravel()
-    g, a, z = _forward(model, vec)
-    sample = filtered.gather(Transform(model.family, g))
-    loss = -sample.c
-    dloss_dg = -sample.dc_dg()
-    grad_b2 = dloss_dg
-    grad_W2 = np.outer(dloss_dg, a)
-    dz = (model.W2.T @ dloss_dg) * (z > 0.0)
-    grad_b1 = dz
-    grad_W1 = np.outer(dz, vec)
-    return loss, {"W1": grad_W1, "b1": grad_b1, "W2": grad_W2, "b2": grad_b2}
+    With ``grads`` (arrays shaped like the parameters), the gradient of the
+    batch's mean loss is written into it: two matrix products per layer.
+    """
+    X = filtered.scores[batch].reshape(len(batch), -1)
+    G, A, Z = _forward(model, X)
+    if grads is None:
+        return -filtered.gather_many(model.family, G, batch)
+    c, dc_dg = filtered.gather_many(model.family, G, batch, grad=True)
+    dG = dc_dg / -len(batch)
+    np.sum(dG, axis=0, out=grads["b2"])
+    np.matmul(dG.T, A, out=grads["W2"])
+    dZ = (dG @ model.W2) * (Z > 0.0)
+    np.sum(dZ, axis=0, out=grads["b1"])
+    np.matmul(dZ.T, X, out=grads["W1"])
+    return -c
 
 
 def loss_and_grad(
@@ -156,7 +180,8 @@ def loss_and_grad(
     """Negated soft-inlier count of the predicted transform, with gradients.
 
     The correlation tensor is treated as a constant input: gradients cover
-    the regressor parameters only.
+    the regressor parameters only.  This is one training step's loss and
+    gradient for a batch of one.
     """
     s = correlate(f_s, f_t)
     h, w = model.grid_h, model.grid_w
@@ -166,7 +191,44 @@ def loss_and_grad(
         )
     if t is None:
         t = default_threshold(h, w)
-    return _pair_loss_grad(model, FilteredScores(s, t))
+    grads = {k: np.empty_like(v) for k, v in model.parameters().items()}
+    loss = _batch_losses(model, FilteredScores(s, t), np.zeros(1, dtype=np.int64), grads)
+    return float(loss[0]), grads
+
+
+def _mean_loss(model: RegressorModel, filtered: FilteredScores, chunk: int) -> float:
+    """Mean loss over every stacked pair, ``chunk`` pairs per pass."""
+    n = len(filtered)
+    return float(np.mean(np.concatenate([
+        _batch_losses(model, filtered, np.arange(start, min(start + chunk, n)))
+        for start in range(0, n, chunk)
+    ])))
+
+
+def _adam_step(params, grads, m1, m2, scratch, step_count: int, cfg: TrainConfig) -> None:
+    """One adaptive-moment descent step, in place: moments, then parameters.
+
+    The bias corrections are folded into the step size and ``ADAM_EPS``
+    (Kingma & Ba's reordering), which is the textbook update with fewer
+    passes over the arrays.  ``grads`` and ``scratch`` are overwritten.
+    """
+    b1d, b2d = cfg.betas
+    root_c2 = np.sqrt(1 - b2d**step_count)
+    step = cfg.step * root_c2 / (1 - b1d**step_count)
+    for k, p in params.items():
+        g, m, v, tmp = grads[k], m1[k], m2[k], scratch[k]
+        np.multiply(g, 1 - b1d, out=tmp)
+        m *= b1d
+        m += tmp
+        g *= g
+        g *= 1 - b2d
+        v *= b2d
+        v += g
+        np.sqrt(v, out=tmp)
+        tmp += ADAM_EPS * root_c2
+        np.divide(m, tmp, out=tmp)
+        tmp *= step
+        p -= tmp
 
 
 def _check_dataset(dataset) -> list[tuple[FeatureGrid, FeatureGrid]]:
@@ -203,39 +265,23 @@ def train(dataset, cfg: TrainConfig | None = None) -> tuple[RegressorModel, list
             raise ValueError(f"dataset[{idx}]: all grids must be {h}x{w}")
 
     t = cfg.threshold if cfg.threshold is not None else default_threshold(h, w)
-    cached = [FilteredScores(correlate(f_s, f_t), t) for f_s, f_t in pairs]
+    n = len(pairs)
+    filtered = FilteredScores((correlate(f_s, f_t) for f_s, f_t in pairs), t, count=n)
 
     model = init_model(h, w, cfg)
     params = model.parameters()
-    m1 = {k: np.zeros_like(v) for k, v in params.items()}
-    m2 = {k: np.zeros_like(v) for k, v in params.items()}
-    b1d, b2d = cfg.betas
+    m1, m2, grads, scratch = ({k: np.zeros_like(v) for k, v in params.items()} for _ in range(4))
     rng = np.random.default_rng(cfg.seed)
 
-    def mean_loss() -> float:
-        return float(np.mean([_pair_loss(model, f) for f in cached]))
-
-    trace = [mean_loss()]
+    trace = [_mean_loss(model, filtered, cfg.batch_size)]
     step_count = 0
-    n = len(cached)
     for _ in range(cfg.epochs):
         order = rng.permutation(n)
         for start in range(0, n, cfg.batch_size):
-            batch = order[start : start + cfg.batch_size]
-            acc = {k: np.zeros_like(v) for k, v in params.items()}
-            for idx in batch:
-                _, grads = _pair_loss_grad(model, cached[idx])
-                for k in acc:
-                    acc[k] += grads[k]
+            _batch_losses(model, filtered, order[start : start + cfg.batch_size], grads)
             step_count += 1
-            for k in acc:
-                gk = acc[k] / len(batch)
-                m1[k] = b1d * m1[k] + (1 - b1d) * gk
-                m2[k] = b2d * m2[k] + (1 - b2d) * gk * gk
-                mh = m1[k] / (1 - b1d**step_count)
-                vh = m2[k] / (1 - b2d**step_count)
-                params[k] -= cfg.step * mh / (np.sqrt(vh) + ADAM_EPS)
-        trace.append(mean_loss())
+            _adam_step(params, grads, m1, m2, scratch, step_count, cfg)
+        trace.append(_mean_loss(model, filtered, cfg.batch_size))
     return model, trace
 
 
@@ -257,27 +303,48 @@ def save_model(model: RegressorModel, path) -> None:
         fh.write("\n")
 
 
+def _is_count(value) -> bool:
+    """A positive ``int`` that is not a bool."""
+    return isinstance(value, int) and not isinstance(value, bool) and value > 0
+
+
 def load_model(path) -> RegressorModel:
-    with open(path, "r", encoding="ascii") as fh:
-        try:
+    """Read a checkpoint written by :func:`save_model`.
+
+    Any malformed content raises ``ValueError`` naming the problem.
+    """
+    try:
+        with open(path, "r", encoding="ascii") as fh:
             payload = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"{path}: not a valid checkpoint: {exc}") from None
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise ValueError(f"{path}: not a valid checkpoint: {exc}") from None
     if not isinstance(payload, dict) or payload.get("format") != CHECKPOINT_FORMAT:
         raise ValueError(f"{path}: not a {CHECKPOINT_FORMAT} checkpoint")
     if payload.get("version") != CHECKPOINT_VERSION:
         raise ValueError(f"{path}: unsupported checkpoint version {payload.get('version')!r}")
-    try:
-        family = payload["family"]
-        h, w = payload["grid"]
-        hidden = int(payload["hidden"])
-        weights = payload["weights"]
-        n_in = (h * w) ** 2
-        k = PARAM_COUNTS[family]
-        W1 = np.asarray(weights["W1"], dtype=np.float64).reshape(hidden, n_in)
-        b1 = np.asarray(weights["b1"], dtype=np.float64).reshape(hidden)
-        W2 = np.asarray(weights["W2"], dtype=np.float64).reshape(k, hidden)
-        b2 = np.asarray(weights["b2"], dtype=np.float64).reshape(k)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ValueError(f"{path}: malformed checkpoint: {exc}") from None
-    return RegressorModel(family, int(h), int(w), W1, b1, W2, b2)
+    family, grid, hidden, weights = (
+        payload.get(k) for k in ("family", "grid", "hidden", "weights")
+    )
+    if not (isinstance(family, str) and family in PARAM_COUNTS):
+        raise ValueError(f"{path}: unknown family {family!r}")
+    if not (isinstance(grid, list) and len(grid) == 2 and all(map(_is_count, grid))):
+        raise ValueError(f"{path}: grid must be two positive ints, got {grid!r}")
+    if not _is_count(hidden):
+        raise ValueError(f"{path}: hidden must be a positive int, got {hidden!r}")
+    if not isinstance(weights, dict):
+        raise ValueError(f"{path}: weights must be an object")
+    h, w = grid
+    k = PARAM_COUNTS[family]
+    shapes = {"W1": (hidden, (h * w) ** 2), "b1": (hidden,), "W2": (k, hidden), "b2": (k,)}
+    arrays = {}
+    for name, shape in shapes.items():
+        try:
+            flat = np.asarray(weights.get(name), dtype=np.float64)
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ValueError(f"{path}: weights {name}: {exc}") from None
+        if flat.ndim != 1 or flat.size != math.prod(shape):
+            raise ValueError(
+                f"{path}: weights {name} must list {math.prod(shape)} numbers for shape {shape}"
+            )
+        arrays[name] = flat.reshape(shape)
+    return RegressorModel(family, h, w, **arrays)

@@ -2,10 +2,11 @@
 
 import numpy as np
 
-from softalign import fit
+from softalign import fit, weaktrain
 from softalign.geometry import LATTICE_SNAP_EPS, Transform, make_tps, tps_control_points, transform_sampling_grid
 from softalign.grids import FeatureGrid, cells_to_normalized, l2_normalize
-from softalign.softinlier import default_threshold, hard_inlier_count, score_breakdown
+from softalign.matching import correlate
+from softalign.softinlier import FilteredScores, default_threshold, hard_inlier_count, score_breakdown
 
 
 def random_normalized(rng, h, w, d):
@@ -189,3 +190,61 @@ def bilinear_sample_backward_reference(img, uv, upstream):
     d_du = (1.0 - dv) * (c10 - c00) + dv * (c11 - c01)
     d_dv = (1.0 - du) * (c01 - c00) + du * (c11 - c10)
     return grad_img, np.stack([upstream * d_du, upstream * d_dv], axis=-1)
+
+
+def _pair_loss_grad_reference(model, filtered):
+    """Loss and parameter gradients of one pair: a matrix-vector forward
+    pass, one gather, and outer-product gradients."""
+    vec = filtered.scores[0].ravel()
+    z = model.W1 @ vec + model.b1
+    a = np.maximum(z, 0.0)
+    g = model.W2 @ a + model.b2
+    sample = filtered.gather(Transform(model.family, g))
+    dloss_dg = -sample.dc_dg()
+    dz = (model.W2.T @ dloss_dg) * (z > 0.0)
+    grads = {"W1": np.outer(dz, vec), "b1": dz, "W2": np.outer(dloss_dg, a), "b2": dloss_dg}
+    return -sample.c, grads
+
+
+def train_reference(dataset, cfg):
+    """``weaktrain.train`` as a per-pair loop: one ``FilteredScores`` per
+    pair, gradients accumulated pair by pair, Adam on fresh arrays.
+
+    Returns ``(model, trace)`` like ``train``.
+    """
+    pairs = [tuple(p) for p in dataset]
+    h, w = pairs[0][0].h, pairs[0][0].w
+    t = cfg.threshold if cfg.threshold is not None else default_threshold(h, w)
+    cached = [FilteredScores(correlate(f_s, f_t), t) for f_s, f_t in pairs]
+
+    model = weaktrain.init_model(h, w, cfg)
+    params = model.parameters()
+    m1 = {k: np.zeros_like(v) for k, v in params.items()}
+    m2 = {k: np.zeros_like(v) for k, v in params.items()}
+    b1d, b2d = cfg.betas
+    rng = np.random.default_rng(cfg.seed)
+
+    def mean_loss():
+        return float(np.mean([_pair_loss_grad_reference(model, f)[0] for f in cached]))
+
+    trace = [mean_loss()]
+    step_count = 0
+    for _ in range(cfg.epochs):
+        order = rng.permutation(len(cached))
+        for start in range(0, len(cached), cfg.batch_size):
+            batch = order[start : start + cfg.batch_size]
+            acc = {k: np.zeros_like(v) for k, v in params.items()}
+            for idx in batch:
+                _, grads = _pair_loss_grad_reference(model, cached[idx])
+                for k in acc:
+                    acc[k] += grads[k]
+            step_count += 1
+            for k in acc:
+                gk = acc[k] / len(batch)
+                m1[k] = b1d * m1[k] + (1 - b1d) * gk
+                m2[k] = b2d * m2[k] + (1 - b2d) * gk * gk
+                mh = m1[k] / (1 - b1d**step_count)
+                vh = m2[k] / (1 - b2d**step_count)
+                params[k] -= cfg.step * mh / (np.sqrt(vh) + weaktrain.ADAM_EPS)
+        trace.append(mean_loss())
+    return model, trace

@@ -456,6 +456,32 @@ class TestNumberFlags:
             argv += ["--transform", tfile]
         assert "--top-k" in parse_error(argv, capsys)
 
+    @pytest.mark.parametrize("command, flag", [
+        ("train", "--epochs"),
+        ("train", "--batch-size"),
+        ("train", "--hidden"),
+        ("align", "--iterations"),
+        ("align", "--restarts"),
+        ("linedemo", "--iters"),
+        ("ransac", "--iters"),
+        ("synth", "--n"),
+        ("synth", "--image-size"),
+    ])
+    def test_count_flag_below_one(self, tmp_path, capsys, command, flag):
+        img = make_pgm(tmp_path)
+        out = tmp_path / "out"
+        argv = {
+            "train": ["train", tmp_path / "pairs.jsonl", "--checkpoint", out / "model.json"],
+            "align": ["align", "--source", img, "--target", img],
+            "linedemo": ["linedemo", "--mode", "ransac"],
+            "ransac": ["ransac", "--source", img, "--target", img],
+            "synth": ["synth", "--outdir", out],
+        }[command]
+        before = sorted(os.listdir(tmp_path))
+        err = parse_error(argv + [flag, 0, "--out", out / "r.json"], capsys)
+        assert f"argument {flag}" in err and "integer >= 1" in err
+        assert sorted(os.listdir(tmp_path)) == before
+
     @pytest.mark.parametrize("value", ["inf", "nan"])
     def test_non_finite_point_coordinate(self, tmp_path, capsys, value):
         pts = tmp_path / "pts.csv"
@@ -463,6 +489,14 @@ class TestNumberFlags:
         assert run(["linedemo", "--points", pts, "--mode", "soft-grid"]) == 2
         err = capsys.readouterr().err
         assert "pts.csv:2" in err and "finite" in err and "Traceback" not in err
+
+
+    def test_huge_point_extent_refused_before_allocating(self, tmp_path, capsys):
+        pts = tmp_path / "pts.csv"
+        pts.write_text("0,0\n1e300,2\n3,3\n")
+        assert run(["linedemo", "--points", pts, "--mode", "soft-grid"]) == 2
+        err = capsys.readouterr().err
+        assert "point extent 1e+300" in err and "limit" in err and "Traceback" not in err
 
 
 class TestPlumbing:

@@ -453,6 +453,28 @@ class TestLineDemo:
             assert res.count == 7.0
             assert res.distances(pts).max() < 1e-12
 
+    def test_ransac_needs_an_iteration(self):
+        with pytest.raises(ValueError, match="iters"):
+            fit_line_demo(np.array([[0.0, 0.0], [1.0, 1.0]]), t=0.5, mode="ransac", iters=0)
+
+    def test_ransac_without_distinct_draw_is_flagged(self):
+        # the one draw at seed 1 picks the duplicated point twice
+        pts = np.array([[0.0, 0.0], [0.0, 0.0], [1.0, 1.0]])
+        res = fit_line_demo(pts, t=0.5, mode="ransac", iters=1, seed=1)
+        assert res.degenerate
+        assert res.count == 2.0  # the vertical line x = 0 holds both copies of (0, 0)
+        assert res.distances(pts[:2]).max() < 1e-12
+
+    def test_soft_grid_extent_refused_before_allocating(self):
+        # each check runs on the bounding box alone: none of these allocates
+        with pytest.raises(ValueError, match=r"point extent 1e\+300 x 4 .* limit of 268435456 bytes"):
+            fit_line_demo(np.array([[0.0, 0.0], [1e300, 2.0]]), t=0.5, mode="soft-grid")
+        with pytest.raises(ValueError, match="raster"):
+            splat_points(np.array([[0.0, 0.0], [1e6, 1e6]]))
+        # the raster of a 2000-unit cloud fits; its per-angle band test does not
+        with pytest.raises(ValueError, match="per-angle band test"):
+            fit_line_demo(np.array([[0.0, 0.0], [2000.0, 2000.0]]), t=0.5, mode="soft-grid")
+
     def test_input_validation(self):
         with pytest.raises(ValueError, match="at least 2"):
             fit_line_demo(np.array([[0.0, 0.0]]), t=0.5, mode="ransac")

@@ -137,11 +137,12 @@ def test_filtered_scores_are_disk_sums(t):
     m_id = identity_mask(h, w, t).data  # symmetric: m_id[i, j, p, q] = [|ij - pq| < t]
     expect = np.einsum("ijpq,ijkl->pqkl", m_id, s.data)
     filtered = FilteredScores(s, t)
-    padded = filtered.padded
+    assert filtered.padded.shape == (1, h + 2, w + 2, h, w)
+    padded = filtered.padded[0]
     np.testing.assert_allclose(padded[1:-1, 1:-1], expect, rtol=1e-14, atol=1e-14)
     assert not padded[0].any() and not padded[-1].any()
     assert not padded[:, 0].any() and not padded[:, -1].any()
-    np.testing.assert_array_equal(filtered.scores, s.data)
+    np.testing.assert_array_equal(filtered.scores[0], s.data)
 
 
 def test_single_cell_disk_shares_storage():
@@ -149,7 +150,7 @@ def test_single_cell_disk_shares_storage():
     s = correlate(random_normalized(rng, 5, 5, 4), random_normalized(rng, 5, 5, 4))
     f = FilteredScores(s, 1.0)
     assert np.shares_memory(f.scores, f.padded)
-    assert FilteredScores(s, 1.5).scores is s.data
+    assert FilteredScores(s, 1.5).scores.base is s.data
 
 
 def test_rejects_bad_inputs():

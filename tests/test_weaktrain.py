@@ -1,11 +1,15 @@
+import json
+
 import numpy as np
 import pytest
 
-from helpers import random_normalized
+from helpers import random_normalized, random_transform, train_reference
+from softalign import weaktrain
 from softalign.geometry import Transform
 from softalign.grids import FeatureGrid
 from softalign.matching import correlate
 from softalign.softinlier import (
+    FilteredScores,
     default_threshold,
     identity_mask,
     soft_inlier_count,
@@ -258,6 +262,106 @@ class TestTrain:
             TrainConfig(epochs=0)
 
 
+class TestBatchedTrainer:
+    """The batched step against the per-pair loop it replaced
+    (``helpers.train_reference``): the same arithmetic summed in another
+    order, so traces and parameters agree to a tolerance set from float64
+    rounding, not bit for bit."""
+
+    @pytest.mark.parametrize("family", ["affine", "homography", "tps"])
+    @pytest.mark.parametrize("threshold", [None, 1.5], ids=["t<=1", "t>1"])
+    @pytest.mark.parametrize("batch_size", [1, 3])
+    def test_matches_per_pair_loop(self, family, threshold, batch_size):
+        rng = np.random.default_rng(131)
+        pairs = [random_pair(rng) for _ in range(7)]  # batches of 3: 3 + 3 + 1
+        cfg = TrainConfig(epochs=3, batch_size=batch_size, hidden=6, seed=5, family=family,
+                          threshold=threshold, step=1e-2)
+        model, trace = train(pairs, cfg)
+        ref_model, ref_trace = train_reference(pairs, cfg)
+        np.testing.assert_allclose(trace, ref_trace, rtol=1e-12, atol=0)
+        assert trace[-1] != trace[0]
+        for name, value in ref_model.parameters().items():
+            np.testing.assert_allclose(model.parameters()[name], value, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("family", ["affine", "homography", "tps"])
+    @pytest.mark.parametrize("t", [0.8, 1.5])
+    def test_batched_gather_rows_equal_single_gathers(self, family, t):
+        rng = np.random.default_rng(132)
+        volumes = [correlate(*random_pair(rng, 6, 7)) for _ in range(4)]
+        filtered = FilteredScores(iter(volumes), t, count=len(volumes))
+        pairs = np.array([2, 0, 3, 2, 1])
+        params = np.stack([random_transform(rng, family, 0.5).params for _ in pairs])
+        for k, s in enumerate(volumes):  # the stack holds each pair's own S_t and scores
+            np.testing.assert_array_equal(filtered.padded[k], FilteredScores(s, t).padded[0])
+            np.testing.assert_array_equal(filtered.scores[k], s.data)
+        c, dc_dg = filtered.gather_many(family, params, pairs, grad=True)
+        assert c.shape == (5,) and dc_dg.shape == params.shape
+        for b, pair in enumerate(pairs):
+            T = Transform(family, params[b])
+            one = FilteredScores(volumes[pair], t).gather(T)
+            assert c[b] == pytest.approx(one.c, rel=1e-12, abs=1e-12)
+            np.testing.assert_allclose(dc_dg[b], one.dc_dg(), rtol=1e-12, atol=1e-12)
+        np.testing.assert_array_equal(filtered.gather_many(family, params, pairs), c)
+
+    def test_stack_checks_its_volumes(self):
+        rng = np.random.default_rng(136)
+        volumes = [correlate(*random_pair(rng)) for _ in range(3)]
+        with pytest.raises(ValueError, match="expected 4"):
+            FilteredScores(iter(volumes), 1.0, count=4)
+        with pytest.raises(ValueError, match="more than 2"):
+            FilteredScores(iter(volumes), 1.0, count=2)
+        with pytest.raises(ValueError, match="differs from the first"):
+            FilteredScores(volumes + [correlate(*random_pair(rng, 5, 5))], 1.0)
+
+    def test_batched_gather_raises_the_loops_first_error(self):
+        rng = np.random.default_rng(133)
+        filtered = FilteredScores([correlate(*random_pair(rng)) for _ in range(2)], 1.0)
+        good = [1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0]
+        flat = [2.0, 4.0, 0.0, 1.0, 2.0, 0.0, 0.0, 0.0]  # |det| = 0
+        vanishing = [1.0, 0.0, 0.0, 0.0, 1.0, 0.0, -1.0, 0.0]  # denominator 0 at x = 1
+        for rows in ([good, flat, vanishing], [good, vanishing, flat]):
+            with pytest.raises(ValueError) as loop_error:
+                for row, pair in zip(rows, [0, 1, 0]):
+                    filtered.gather(Transform("homography", row), pair)
+            with pytest.raises(ValueError) as batch_error:
+                filtered.gather_many("homography", rows, [0, 1, 0], grad=True)
+            assert str(batch_error.value) == str(loop_error.value)
+
+    @pytest.mark.parametrize("family, b2", [
+        ("affine", [2.0, 4.0, 0.0, 1.0, 2.0, 0.0]),
+        ("homography", [2.0, 4.0, 0.0, 1.0, 2.0, 0.0, 0.0, 0.0]),
+        ("tps", [np.nan] + [0.0] * 17),
+    ])
+    def test_degenerate_prediction_raises_like_the_loop(self, monkeypatch, family, b2):
+        init = weaktrain.init_model
+
+        def degenerate_init(h, w, cfg):
+            model = init(h, w, cfg)
+            model.b2[:] = b2  # W2 starts at zero, so every pair predicts b2
+            return model
+
+        monkeypatch.setattr(weaktrain, "init_model", degenerate_init)
+        rng = np.random.default_rng(134)
+        pairs = [random_pair(rng) for _ in range(3)]
+        cfg = TrainConfig(epochs=1, batch_size=2, hidden=4, family=family)
+        with pytest.raises(ValueError) as ref_error:
+            train_reference(pairs, cfg)
+        with pytest.raises(ValueError) as batch_error:
+            train(pairs, cfg)
+        assert str(batch_error.value) == str(ref_error.value)
+
+    @pytest.mark.parametrize("family", ["homography", "tps"])
+    def test_seeded_runs_bit_identical(self, family):
+        rng = np.random.default_rng(135)
+        pairs = [random_pair(rng) for _ in range(5)]
+        cfg = TrainConfig(epochs=2, batch_size=3, hidden=5, seed=8, family=family, step=1e-2)
+        m1, t1 = train(pairs, cfg)
+        m2, t2 = train(pairs, cfg)
+        assert t1 == t2
+        for name, value in m1.parameters().items():
+            np.testing.assert_array_equal(value, m2.parameters()[name])
+
+
 class TestCheckpoint:
     def test_round_trip_exact(self, tmp_path):
         model = offpeak_model(21)
@@ -289,3 +393,83 @@ class TestCheckpoint:
         path.write_text(json.dumps(payload))
         with pytest.raises(ValueError, match="version"):
             load_model(path)
+
+    @pytest.mark.parametrize("field, value, match", [
+        ("hidden", float("inf"), "hidden"),
+        ("hidden", -2, "hidden"),
+        ("hidden", True, "hidden"),
+        ("hidden", 2.0, "hidden"),
+        ("grid", [-2, 2], "grid"),
+        ("grid", [2, True], "grid"),
+        ("grid", [2], "grid"),
+        ("family", ["affine"], "family"),
+    ])
+    def test_bad_fields_rejected(self, tmp_path, field, value, match):
+        path = tmp_path / "model.json"
+        save_model(init_model(2, 2, TrainConfig(hidden=2)), path)
+        payload = json.loads(path.read_text())
+        payload[field] = value
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ValueError, match=match):
+            load_model(path)
+
+    def test_model_rejects_bad_grid(self):
+        base = init_model(2, 2, TrainConfig(hidden=2))
+        for grid in ((-2, 2), (2, 0), (2.0, 2), (True, 2)):
+            with pytest.raises(ValueError, match="grid"):
+                RegressorModel("affine", *grid, base.W1, base.b1, base.W2, base.b2)
+
+    def test_fuzzed_checkpoints_raise_only_value_error(self, tmp_path):
+        # seeded mutations of a saved checkpoint, at the JSON-field and the
+        # text level: each must load or raise ValueError, nothing else
+        path = tmp_path / "model.json"
+        save_model(init_model(2, 2, TrainConfig(hidden=2, seed=1)), path)
+        text = path.read_text()
+        odd = [None, True, False, 0, -2, 2, 3, 2.5, 1e308, float("inf"), float("-inf"),
+               float("nan"), 10**30, -(10**30), 10**400, "x", "2", "", [], {}, [2, 2],
+               [-2, 2], [2, 2, 2], [[1.0]], [1.0, "x"], [10**400], {"a": 1}, "affine", "tps"]
+        fields = [("format",), ("version",), ("family",), ("grid",), ("grid", 0), ("grid", 1),
+                  ("hidden",), ("weights",)] + [
+                  ("weights", k) for k in ("W1", "b1", "W2", "b2")] + [
+                  ("weights", k, 0) for k in ("W1", "b1", "W2", "b2")]
+        rng = np.random.default_rng(2024)
+        outcomes = {"loaded": 0, "rejected": 0}
+        for trial in range(600):
+            if trial % 3:
+                payload = json.loads(text)
+                for _ in range(int(rng.integers(1, 3))):
+                    *parents, last = fields[int(rng.integers(len(fields)))]
+                    _set_field(payload, parents, last, odd[int(rng.integers(len(odd)))],
+                               delete=rng.random() < 0.2)
+                path.write_text(json.dumps(payload))
+            else:
+                chars = list(text)
+                pos = int(rng.integers(len(chars)))
+                if rng.random() < 0.3:
+                    chars = chars[:pos]
+                else:
+                    chars[pos] = chr(int(rng.integers(32, 256)))
+                path.write_text("".join(chars), encoding="latin-1")
+            try:
+                load_model(path)
+                outcomes["loaded"] += 1
+            except ValueError:
+                outcomes["rejected"] += 1
+        assert outcomes["loaded"] > 0 and outcomes["rejected"] > 300, outcomes
+
+
+def _set_field(payload, parents, last, value, delete=False):
+    """Set (or delete) ``payload[parents...][last]`` where that path exists."""
+    node = payload
+    for key in parents:
+        try:
+            node = node[key]
+        except (KeyError, IndexError, TypeError):
+            return
+    try:
+        if delete and isinstance(node, dict):
+            node.pop(last, None)
+        else:
+            node[last] = value
+    except (IndexError, TypeError):
+        pass
