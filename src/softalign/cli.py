@@ -693,8 +693,14 @@ def _checked(convert, accept, requirement: str):
 
 
 _positive_float = _checked(float, lambda v: np.isfinite(v) and v > 0, "a finite number > 0")
-_nonnegative_int = _checked(int, lambda v: v >= 0, "an integer >= 0")
-_positive_int = _checked(int, lambda v: v >= 1, "an integer >= 1")
+
+
+def _int_at_least(low: int):
+    return _checked(int, lambda v: v >= low, f"an integer >= {low}")
+
+
+_nonnegative_int = _int_at_least(0)
+_positive_int = _int_at_least(1)
 
 
 def _add_top_k_flag(p):
@@ -702,7 +708,7 @@ def _add_top_k_flag(p):
 
 
 def _add_report_flags(p, *, seed: int = 0):
-    p.add_argument("--seed", type=int, default=seed, help="run seed (default %(default)s)")
+    p.add_argument("--seed", type=_nonnegative_int, default=seed, help="run seed (default %(default)s)")
     p.add_argument("--out", metavar="FILE", help="write the JSON report here (default: stdout)")
 
 
@@ -798,7 +804,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--family", choices=("affine", "tps"), default="affine")
     p.add_argument("--magnitude", type=float, default=0.5, help="warp magnitude in [0, 1] (default %(default)s)")
     p.add_argument("--image-size", nargs="+", type=_positive_int, default=[64], metavar="N", help="synthetic image size: H or H W (default 64)")
-    p.add_argument("--keypoints", type=int, default=20, metavar="N", help="keypoints per pair, 0 to disable (default %(default)s)")
+    p.add_argument("--keypoints", type=_nonnegative_int, default=20, metavar="N", help="keypoints per pair, 0 to disable (default %(default)s)")
     p.add_argument("--rotation-max", type=float, default=None, metavar="DEG", help="override the rotation range")
     p.add_argument("--scale-range", nargs=2, type=float, default=None, metavar=("LO", "HI"), help="override the scale range")
     p.add_argument("--translation-max", type=float, default=None, metavar="X", help="override the translation range")
@@ -823,8 +829,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("linedemo", help="line fitting by inlier-count maximization")
     p.add_argument("--points", metavar="FILE", help="point list (x y per line); default: seeded demo cloud")
-    p.add_argument("--inliers", type=int, default=20, help="demo cloud collinear points (default %(default)s)")
-    p.add_argument("--outliers", type=int, default=30, help="demo cloud clutter points (default %(default)s)")
+    p.add_argument("--inliers", type=_int_at_least(2), default=20, help="demo cloud collinear points (default %(default)s)")
+    p.add_argument("--outliers", type=_nonnegative_int, default=30, help="demo cloud clutter points (default %(default)s)")
     p.add_argument("--mode", choices=("ransac", "soft-grid"), default="soft-grid")
     p.add_argument("--iters", type=_positive_int, default=500, help="sampling iterations for ransac mode (default %(default)s)")
     p.add_argument("--t", type=_positive_float, default=0.5, help="band half-width (default %(default)s)")

@@ -15,10 +15,19 @@ Three routes:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import combinations
 
 import numpy as np
 
-from softalign.geometry import AFFINE, FAMILIES, Transform, apply, apply_many, tps_control_points
+from softalign.geometry import (
+    AFFINE,
+    FAMILIES,
+    Transform,
+    apply,
+    apply_many,
+    nondegenerate,
+    tps_control_points,
+)
 from softalign.grids import FeatureGrid, cells_to_normalized
 from softalign.matching import CorrelationTensor, correlate
 from softalign.softinlier import (
@@ -80,8 +89,9 @@ class AlignmentResult:
     """Outcome of a fit: the transform, its score, and how it was reached.
 
     ``trace`` holds the accepted score after every iteration (the hard
-    best-so-far count for RANSAC); ``no_signal`` marks an all-zero
-    correlation; ``inlier_count``/``inliers`` are RANSAC-only.
+    best-so-far count for RANSAC); ``no_signal`` marks an identity
+    returned for want of evidence (an all-zero correlation, or no usable
+    RANSAC sample); ``inlier_count``/``inliers`` are RANSAC-only.
     """
 
     transform: Transform
@@ -281,43 +291,76 @@ def _as_matches(src: np.ndarray, tgt: np.ndarray) -> list:
 
 
 def _affine_from_matches(src: np.ndarray, tgt: np.ndarray) -> Transform:
+    """Least-squares affine map taking the ``(n, 2)`` target points to the source points."""
     n = len(src)
     design = np.column_stack([tgt[:, 0], tgt[:, 1], np.ones(n)])
     sol, *_ = np.linalg.lstsq(design, src, rcond=None)
-    a11, a12, tx = sol[:, 0]
-    a21, a22, ty = sol[:, 1]
-    return Transform.affine(np.array([a11, a12, tx, a21, a22, ty]))
+    return Transform.affine(sol.T.ravel())
+
+
+def _dlt_rows(src: np.ndarray, tgt: np.ndarray) -> np.ndarray:
+    """``(..., 2n, 9)`` DLT systems of ``(..., n, 2)`` matches: for each match
+    a u row then a v row, whose null vector is the homography."""
+    x, y = tgt[..., 0], tgt[..., 1]
+    u, v = src[..., 0], src[..., 1]
+    one, zero = np.ones_like(x), np.zeros_like(x)
+    rows_u = np.stack([x, y, one, zero, zero, zero, -u * x, -u * y, -u], axis=-1)
+    rows_v = np.stack([zero, zero, zero, x, y, one, -v * x, -v * y, -v], axis=-1)
+    return np.stack([rows_u, rows_v], axis=-2).reshape(*x.shape[:-1], 2 * x.shape[-1], 9)
+
+
+def _homographies(src: np.ndarray, tgt: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(params, ok)`` of stacked DLT systems, one SVD each: the null vector
+    scaled to ``h9 = 1``, ``(..., 8)``, and where ``|h9| >= 1e-12``."""
+    h = np.linalg.svd(_dlt_rows(src, tgt))[2][..., -1, :]
+    ok = np.abs(h[..., 8]) >= 1e-12
+    return h[..., :8] / np.where(ok, h[..., 8], 1.0)[..., None], ok
 
 
 def _homography_from_matches(src: np.ndarray, tgt: np.ndarray) -> Transform:
-    n = len(src)
-    rows = np.zeros((2 * n, 9))
-    x, y = tgt[:, 0], tgt[:, 1]
-    u, v = src[:, 0], src[:, 1]
-    rows[0::2, 0] = x
-    rows[0::2, 1] = y
-    rows[0::2, 2] = 1.0
-    rows[0::2, 6] = -u * x
-    rows[0::2, 7] = -u * y
-    rows[0::2, 8] = -u
-    rows[1::2, 3] = x
-    rows[1::2, 4] = y
-    rows[1::2, 5] = 1.0
-    rows[1::2, 6] = -v * x
-    rows[1::2, 7] = -v * y
-    rows[1::2, 8] = -v
-    _, _, vt = np.linalg.svd(rows)
-    h = vt[-1]
-    if abs(h[8]) < 1e-12:
+    params, ok = _homographies(src, tgt)
+    if not ok:
         raise ValueError("degenerate homography sample")
-    h = h / h[8]
-    return Transform.homography(h[:8])
+    return Transform.homography(params)
 
 
 def _solve_transform(family: str, src: np.ndarray, tgt: np.ndarray) -> Transform:
     if family == "affine":
         return _affine_from_matches(src, tgt)
     return _homography_from_matches(src, tgt)
+
+
+def has_collinear_triple(cells: np.ndarray) -> np.ndarray:
+    """``(N,)`` mask of the ``(N, k, 2)`` integer cell samples in which some 3
+    cells are collinear (a repeated cell counts).
+
+    Exact: the twice-area ``(b - a) x (c - a)`` of integer cells is an
+    integer, and the three are collinear when it is 0.
+    """
+    cells = np.asarray(cells)
+    out = np.zeros(cells.shape[0], dtype=bool)
+    for a, b, c in combinations(range(cells.shape[1]), 3):
+        ab = cells[:, b] - cells[:, a]
+        ac = cells[:, c] - cells[:, a]
+        out |= ab[:, 0] * ac[:, 1] == ab[:, 1] * ac[:, 0]
+    return out
+
+
+def _solve_minimal(family: str, src: np.ndarray, tgt: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(params, ok)`` of ``(N, k, 2)`` minimal samples in one batched solve.
+
+    Affine solves the ``(N, 3, 3)`` systems ``[x_t, y_t, 1] @ sol = src``;
+    homography takes the DLT null vectors.  ``ok`` marks the rows that make
+    a :class:`Transform` (and, for homography, have ``|h9| >= 1e-12``).
+    Every sample must be free of collinear cell triples.
+    """
+    if family == "affine":
+        design = np.concatenate([tgt, np.ones(tgt.shape[:2] + (1,))], axis=2)
+        params = np.linalg.solve(design, src).transpose(0, 2, 1).reshape(len(src), 6)
+        return params, nondegenerate(family, params)
+    params, ok = _homographies(src, tgt)
+    ok[ok] = nondegenerate(family, params[ok])
+    return params, ok
 
 
 def fit_ransac(
@@ -329,12 +372,21 @@ def fit_ransac(
 ) -> AlignmentResult:
     """Hypothesize-and-verify estimation from correlation argmax matches.
 
-    Samples minimal match subsets and solves each for a transform, then
-    scores every hypothesis by the hard inlier count over all candidates,
-    :data:`VERIFY_BLOCK` hypotheses per array pass, and finally refits on
-    the best hypothesis' inliers (kept only if it scores at least as
-    well).  The result equals that of sampling, solving and counting one
-    hypothesis at a time.
+    Draws ``iters`` minimal match samples from one seeded generator, one
+    ``rng.choice`` each.  A sample in which some 3 source cells or some 3
+    target cells are collinear (:func:`has_collinear_triple`, exact on the
+    integer cells) is rejected; the rest are solved in one batched pass
+    (a stacked 3x3 solve for affine, a stacked DLT SVD for homography),
+    and a solution that is non-finite or has ``|det| <= DEGENERACY_EPS``
+    is rejected too.  Every hypothesis is scored by the hard inlier count
+    over all candidates, :data:`VERIFY_BLOCK` hypotheses per array pass;
+    the first best count wins, and a least-squares refit on its inliers
+    replaces it if it scores at least as well.  The trace holds the
+    best-so-far count after each draw, 0 before the first hypothesis.
+
+    When no sample survives, the result is the identity flagged
+    ``no_signal``, with the identity's inliers, count and breakdown.
+    Fewer candidates than a minimal sample raise ``ValueError``.
     """
     if family not in MINIMAL_SAMPLE:
         raise ValueError(f"family must be one of {sorted(MINIMAL_SAMPLE)}")
@@ -360,35 +412,35 @@ def fit_ransac(
         """``(B, n)`` inlier decisions of the hypotheses in ``params``."""
         return hard_inliers(*apply_many(family, params, tgt_xy), src_cells, t, h_s, w_s)
 
-    # Hypothesize: one seeded draw and one exact solve per iteration.
+    # Hypothesize: the seeded draws, the exact collinearity gate, one batched solve.
     rng = np.random.default_rng(seed)
-    solved, hypotheses = [], []
-    for it in range(iters):
-        pick = rng.choice(n, size=k, replace=False)
-        try:
-            hypotheses.append(_solve_transform(family, src_xy[pick], tgt_xy[pick]))
-        except (ValueError, np.linalg.LinAlgError):
-            continue
-        solved.append(it)
-    if not hypotheses:
-        raise ValueError("insufficient matches: no non-degenerate sample found")
+    picks = np.array([rng.choice(n, size=k, replace=False) for _ in range(iters)])
+    solved = np.flatnonzero(
+        ~(has_collinear_triple(src_cells[picks]) | has_collinear_triple(tgt_cells[picks]))
+    )
+    params, ok = _solve_minimal(family, src_xy[picks[solved]], tgt_xy[picks[solved]])
+    solved, params = solved[ok], params[ok]
 
     # Verify every hypothesis, a block at a time.  The first best count
-    # wins, as a strict > would; a degenerate sample counts -1 in the trace.
-    params = np.array([T.params for T in hypotheses])
-    counts = np.empty(len(hypotheses), dtype=np.int64)
-    for b in range(0, len(hypotheses), VERIFY_BLOCK):
+    # wins, as a strict > would; a rejected sample counts -1 in the trace.
+    counts = np.empty(len(solved), dtype=np.int64)
+    for b in range(0, len(solved), VERIFY_BLOCK):
         block = slice(b, b + VERIFY_BLOCK)
         counts[block] = np.count_nonzero(verify(params[block]), axis=1)
     by_iteration = np.full(iters, -1, dtype=np.int64)
     by_iteration[solved] = counts
     trace = np.maximum(np.maximum.accumulate(by_iteration), 0).astype(np.float64)
-    winner = int(np.argmax(counts))
-    best_T, best_count = hypotheses[winner], int(counts[winner])
-    best = np.flatnonzero(verify(params[winner : winner + 1])[0])
+
+    no_signal = len(solved) == 0
+    if no_signal:  # no usable sample: the identity, with its own inliers
+        best_T = Transform.identity(family)
+    else:
+        best_T = Transform(family, params[int(np.argmax(counts))])
+    best = np.flatnonzero(verify(best_T.params[None])[0])
+    best_count = len(best)
 
     # Least-squares refit on the winning hypothesis' inliers.
-    if len(best) >= k:
+    if not no_signal and len(best) >= k:
         try:
             refit = _solve_transform(family, src_xy[best], tgt_xy[best])
             refit_inliers = np.flatnonzero(verify(refit.params[None])[0])
@@ -404,6 +456,7 @@ def fit_ransac(
         trace=tuple(trace.tolist()),
         restart_index=0,
         breakdown=breakdown,
+        no_signal=no_signal,
         inlier_count=best_count,
         inliers=tuple(_as_matches(src_cells[best], tgt_cells[best])),
     )

@@ -125,6 +125,24 @@ def tps_cardinal_values(pts, control_grid: int = 3) -> np.ndarray:
     return np.column_stack([_tps_kernel(sq), np.ones(len(pts)), pts]) @ cardinal
 
 
+def _parametric_dets(family: str, g: np.ndarray) -> np.ndarray:
+    """Determinants of ``(..., K)`` affine or homography parameters: of the
+    linear part (affine) or of the 3x3 matrix whose ninth entry is 1."""
+    if family == AFFINE:
+        return g[..., 0] * g[..., 4] - g[..., 1] * g[..., 3]
+    ones = np.ones(g.shape[:-1] + (1,))
+    return np.linalg.det(np.concatenate([g, ones], axis=-1).reshape(g.shape[:-1] + (3, 3)))
+
+
+def nondegenerate(family: str, params) -> np.ndarray:
+    """``(B,)`` mask of the ``(B, K)`` affine or homography rows that make a
+    :class:`Transform`: every entry finite and ``|det| > DEGENERACY_EPS``."""
+    g = np.asarray(params, dtype=np.float64)
+    ok = np.isfinite(g).all(axis=1)
+    ok[ok] = np.abs(_parametric_dets(family, g[ok])) > DEGENERACY_EPS
+    return ok
+
+
 class Transform:
     """An immutable parametric map from target to source coordinates."""
 
@@ -137,19 +155,14 @@ class Transform:
         self.family = family
         self.control_grid = control_grid if family == TPS else None
 
-        if family == AFFINE:
-            if params.size != 6:
-                raise ValueError(f"affine expects 6 parameters, got {params.size}")
-            det = params[0] * params[4] - params[1] * params[3]
+        if family != TPS:
+            if params.size != PARAM_COUNTS[family]:
+                raise ValueError(
+                    f"{family} expects {PARAM_COUNTS[family]} parameters, got {params.size}"
+                )
+            det = _parametric_dets(family, params)
             if abs(det) <= DEGENERACY_EPS:
-                raise ValueError(f"degenerate affine transform, |det| = {abs(det):.3e}")
-        elif family == HOMOGRAPHY:
-            if params.size != 8:
-                raise ValueError(f"homography expects 8 parameters, got {params.size}")
-            H = np.append(params, 1.0).reshape(3, 3)
-            det = np.linalg.det(H)
-            if abs(det) <= DEGENERACY_EPS:
-                raise ValueError(f"degenerate homography, |det| = {abs(det):.3e}")
+                raise ValueError(f"degenerate {family} transform, |det| = {abs(det):.3e}")
         else:
             k = 2 * control_grid * control_grid
             if params.size != k:

@@ -1,5 +1,7 @@
 """Shared generators and oracles for the test suite."""
 
+import itertools
+
 import numpy as np
 
 from softalign import fit, weaktrain
@@ -101,10 +103,23 @@ def candidate_matches_loop(s):
     return out
 
 
-def ransac_reference(s, family="affine", t=None, iters=500, seed=0):
-    """``fit.fit_ransac`` as a per-hypothesis loop: sample, solve, count.
+def collinear_sample(cells):
+    """Whether some 3 of the integer ``(i, j)`` cells are collinear, a
+    repeated cell included: the per-sample reference for the gate of
+    ``fit.fit_ransac``, in Python integers."""
+    for a, b, c in itertools.combinations([tuple(map(int, cell)) for cell in cells], 3):
+        if (b[0] - a[0]) * (c[1] - a[1]) == (b[1] - a[1]) * (c[0] - a[0]):
+            return True
+    return False
 
-    Returns ``(transform, inlier_count, inliers, trace, c)``.
+
+def ransac_reference(s, family="affine", t=None, iters=500, seed=0):
+    """``fit.fit_ransac`` as a per-hypothesis loop: sample, gate, solve, count.
+
+    A sample with 3 collinear source or target cells is skipped, and the
+    rest are solved one at a time by least squares.  When nothing survives
+    the result is the identity with its own inliers.  Returns
+    ``(transform, inlier_count, inliers, trace, c, no_signal)``.
     """
     h, w = s.source_shape
     t = default_threshold(h, w) if t is None else t
@@ -121,6 +136,9 @@ def ransac_reference(s, family="affine", t=None, iters=500, seed=0):
     best_T, best_count, best_inliers, trace = None, -1, [], []
     for _ in range(iters):
         pick = rng.choice(len(matches), size=k, replace=False)
+        if collinear_sample(src[pick]) or collinear_sample(tgt[pick]):
+            trace.append(float(max(best_count, 0)))
+            continue
         try:
             T = fit._solve_transform(family, src_all[pick], tgt_all[pick])
         except (ValueError, np.linalg.LinAlgError):
@@ -131,7 +149,9 @@ def ransac_reference(s, family="affine", t=None, iters=500, seed=0):
             best_T, best_count, best_inliers = T, count, inliers
         trace.append(float(best_count))
     if best_T is None:
-        raise ValueError("insufficient matches: no non-degenerate sample found")
+        T = Transform.identity(family)
+        count, inliers = hard_inlier_count(matches, T, t, h, w)
+        return T, count, tuple(inliers), tuple(trace), score_breakdown(s, T, t).c, True
     if len(best_inliers) >= k:
         idx = [matches.index(m) for m in best_inliers]
         try:
@@ -142,7 +162,7 @@ def ransac_reference(s, family="affine", t=None, iters=500, seed=0):
         except (ValueError, np.linalg.LinAlgError):
             pass
     c = score_breakdown(s, best_T, t).c
-    return best_T, best_count, tuple(best_inliers), tuple(trace), c
+    return best_T, best_count, tuple(best_inliers), tuple(trace), c, False
 
 
 def _reference_corners(img, uv):

@@ -18,6 +18,7 @@ from softalign.cli import (
 from softalign.features import save_pgm, synthetic_image
 from softalign.fit import demo_points
 from softalign.geometry import Transform
+from softalign.grids import FeatureGrid, write_fgrid
 
 SCHEMA = report_schema()
 
@@ -407,6 +408,24 @@ class TestRansac:
         assert pair["inliers"]
         assert 0.0 <= pair["pck"] <= 1.0
 
+    def test_collinear_candidates_give_a_flagged_identity(self, tmp_path):
+        # every target cell's best match lies on source row 3, so no
+        # 3-match sample has a triangle
+        d = 8
+        src, tgt = np.zeros((d, d, d)), np.zeros((d, d, d))
+        for n, (k, l) in enumerate([(0, 0), (0, 5), (5, 0), (7, 6)]):
+            src[3, 2 * n, n] = tgt[k, l, n] = 1.0
+        paths = [tmp_path / "src.fgrid", tmp_path / "tgt.fgrid"]
+        for grid, path in zip((src, tgt), paths):
+            write_fgrid(FeatureGrid(grid), path)
+        out = tmp_path / "ransac.json"
+        assert run(["ransac", "--source", paths[0], "--target", paths[1], "--t", 0.5,
+                    "--out", out]) == 0
+        (pair,) = load_report(out)["pairs"]
+        assert pair["no_signal"] is True
+        assert pair["transform"] == Transform.identity("affine").to_dict()
+        assert pair["inlier_count"] == 0
+
 
 def parse_error(argv, capsys) -> str:
     """stderr of a command line that argparse rejects with exit code 2."""
@@ -481,6 +500,36 @@ class TestNumberFlags:
         err = parse_error(argv + [flag, 0, "--out", out / "r.json"], capsys)
         assert f"argument {flag}" in err and "integer >= 1" in err
         assert sorted(os.listdir(tmp_path)) == before
+
+    @pytest.mark.parametrize("command", ["align", "eval", "synth", "train", "linedemo", "score", "ransac"])
+    def test_negative_seed(self, tmp_path, capsys, command):
+        img = make_pgm(tmp_path)
+        out = tmp_path / "out"
+        argv = {
+            "align": ["align", "--source", img, "--target", img],
+            "eval": ["eval", tmp_path / "eval.jsonl"],
+            "synth": ["synth", "--outdir", out],
+            "train": ["train", tmp_path / "pairs.jsonl", "--checkpoint", out / "model.json"],
+            "linedemo": ["linedemo"],
+            "score": ["score", "--source", img, "--target", img, "--transform", img],
+            "ransac": ["ransac", "--source", img, "--target", img],
+        }[command]
+        before = sorted(os.listdir(tmp_path))
+        err = parse_error(argv + ["--seed", -1, "--out", out / "r.json"], capsys)
+        assert "argument --seed" in err and "integer >= 0" in err
+        assert sorted(os.listdir(tmp_path)) == before
+
+    @pytest.mark.parametrize("command, flag, value, requirement", [
+        ("synth", "--keypoints", -3, "integer >= 0"),
+        ("linedemo", "--inliers", 1, "integer >= 2"),
+        ("linedemo", "--outliers", -1, "integer >= 0"),
+    ])
+    def test_count_flag_out_of_range(self, tmp_path, capsys, command, flag, value, requirement):
+        out = tmp_path / "out"
+        argv = {"synth": ["synth", "--outdir", out], "linedemo": ["linedemo"]}[command]
+        err = parse_error(argv + [flag, value, "--out", tmp_path / "r.json"], capsys)
+        assert f"argument {flag}" in err and requirement in err
+        assert os.listdir(tmp_path) == []
 
     @pytest.mark.parametrize("value", ["inf", "nan"])
     def test_non_finite_point_coordinate(self, tmp_path, capsys, value):

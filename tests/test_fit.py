@@ -1,7 +1,9 @@
+import itertools
+
 import numpy as np
 import pytest
 
-from helpers import candidate_matches_loop, random_normalized, ransac_reference
+from helpers import candidate_matches_loop, collinear_sample, random_normalized, ransac_reference
 from softalign import fit
 from softalign.features import GrayImage, extract_descriptors, render_warped, synth_pair, synthetic_image
 from softalign.fit import (
@@ -18,7 +20,14 @@ from softalign.fit import (
 from softalign.geometry import Transform, apply
 from softalign.grids import FeatureGrid, cells_to_normalized
 from softalign.matching import CorrelationTensor, correlate
-from softalign.softinlier import FilteredScores, identity_mask, soft_inlier_count, warp_mask
+from softalign.softinlier import (
+    FilteredScores,
+    hard_inlier_count,
+    identity_mask,
+    score_breakdown,
+    soft_inlier_count,
+    warp_mask,
+)
 
 
 def orthonormal_grid(h, w):
@@ -343,35 +352,102 @@ class TestFitRansac:
                 self._assert_same_as_reference(s, family, 0.5, 80, seed)
 
     def test_matches_per_hypothesis_loop_with_degenerate_samples(self):
-        # source cells on one row: most samples are degenerate, a few
-        # survive by rounding, and some runs start with degenerate draws
+        # six of eight source cells on one row: most samples hold a
+        # collinear triple and are gated, and some runs start with one
         s = np.zeros((8, 8, 8, 8))
-        for n, (k, l) in enumerate([(0, 0), (0, 5), (5, 0), (7, 6), (2, 7), (6, 3)]):
-            s[3, n, k, l] = 1.0
+        sources = [(3, 0), (3, 1), (3, 2), (3, 3), (3, 4), (3, 5), (6, 2), (0, 6)]
+        targets = [(0, 0), (0, 5), (5, 0), (7, 6), (2, 7), (6, 3), (4, 4), (1, 2)]
+        for (i, j), (k, l) in zip(sources, targets):
+            s[i, j, k, l] = 1.0
         s = CorrelationTensor(s)
         starts = []
         for seed in range(6):
             self._assert_same_as_reference(s, "affine", 0.5, 50, seed)
-            try:
-                starts.append(fit_ransac(s, "affine", t=0.5, iters=50, seed=seed).trace[0])
-            except ValueError:
-                pass
-        assert 0.0 in starts  # a degenerate first draw is traced as 0
+            starts.append(fit_ransac(s, "affine", t=0.5, iters=50, seed=seed).trace[0])
+        assert 0.0 in starts  # a gated first draw is traced as 0
 
     @pytest.mark.parametrize("family", ["affine", "homography"])
-    def test_collinear_candidates_raise_as_the_loop_does(self, family):
+    def test_matches_per_hypothesis_loop_with_collinear_targets(self, family):
+        # five target cells on row 0, source cells in general position: the
+        # least-squares affine solve of such a sample can pass the det check
+        # (its homography is singular), and the gate drops it
+        s = np.zeros((8, 8, 8, 8))
+        sources = [(1, 1), (2, 6), (6, 2), (5, 7), (7, 4), (0, 3), (4, 0)]
+        targets = [(0, 0), (0, 2), (0, 3), (0, 5), (0, 7), (4, 1), (6, 6)]
+        for (i, j), (k, l) in zip(sources, targets):
+            s[i, j, k, l] = 1.0
+        s = CorrelationTensor(s)
+        src, tgt = (np.array(side, dtype=np.float64) for side in (sources, targets))
+        src_xy = np.stack(cells_to_normalized(src[:, 0], src[:, 1], 8, 8), axis=1)
+        tgt_xy = np.stack(cells_to_normalized(tgt[:, 0], tgt[:, 1], 8, 8), axis=1)
+        k = fit.MINIMAL_SAMPLE[family]
+        solvable = 0
+        for seed in range(4):
+            self._assert_same_as_reference(s, family, 0.5, 60, seed)
+            rng = np.random.default_rng(seed)
+            for _ in range(60):
+                pick = rng.choice(len(sources), size=k, replace=False)
+                if collinear_sample(tgt[pick]) and not collinear_sample(src[pick]):
+                    try:
+                        fit._solve_transform(family, src_xy[pick], tgt_xy[pick])
+                        solvable += 1
+                    except ValueError:
+                        pass
+        assert (solvable > 0) == (family == "affine")
+
+    @pytest.mark.parametrize("family", ["affine", "homography"])
+    def test_collinear_candidates_give_a_flagged_identity(self, family):
         s = np.zeros((8, 8, 8, 8))
         for n, (k, l) in enumerate([(0, 0), (0, 5), (5, 0), (7, 6)]):
             s[3, 2 * n, k, l] = 1.0  # every source cell on row 3
         s = CorrelationTensor(s)
+        identity = Transform.identity(family)
+        count, inliers = hard_inlier_count(candidate_matches(s), identity, 0.5, 8, 8)
+        expected = score_breakdown(s, identity, 0.5)
         for seed in range(5):
-            with pytest.raises(ValueError, match="no non-degenerate sample"):
-                ransac_reference(s, family, 0.5, 50, seed)
-            with pytest.raises(ValueError, match="no non-degenerate sample"):
-                fit_ransac(s, family, t=0.5, iters=50, seed=seed)
+            self._assert_same_as_reference(s, family, 0.5, 50, seed)
+            res = fit_ransac(s, family, t=0.5, iters=50, seed=seed)
+            assert res.no_signal
+            np.testing.assert_array_equal(res.transform.params, identity.params)
+            assert res.inlier_count == count and list(res.inliers) == inliers
+            assert res.c == res.breakdown.c == expected.c
+            np.testing.assert_array_equal(res.breakdown.contributions, expected.contributions)
+            assert res.breakdown.inliers == expected.inliers
+            assert res.trace == (0.0,) * 50
+
+    def test_gate_matches_the_rank_of_centred_cells(self):
+        rng = np.random.default_rng(61)
+        for k in (3, 4):
+            samples = [rng.integers(-6, 7, size=(k, 2)) for _ in range(400)]
+            for _ in range(100):  # exact-collinear triples with a free last cell
+                a, d = rng.integers(-6, 7, size=2), rng.integers(-3, 4, size=2)
+                line = a + np.outer(rng.integers(-2, 3, size=3), d)
+                samples.append(np.vstack([line, rng.integers(-6, 7, size=(k - 3, 2))]))
+            for _ in range(50):  # a repeated cell
+                cells = rng.integers(-6, 7, size=(k, 2))
+                cells[-1] = cells[0]
+                samples.append(cells)
+            for _ in range(50):  # one lattice step off a line: near-collinear
+                a, d = rng.integers(-600, 601, size=2), rng.integers(1, 300, size=2)
+                far = rng.integers(-600, 601, size=(k - 3, 2))
+                samples.append(np.vstack([a, a + d, a + 2 * d + [0, 1], far]))
+            cells = np.array(samples)
+            got = fit.has_collinear_triple(cells)
+
+            def rank_deficient(tri):
+                return np.linalg.matrix_rank(tri - tri.mean(axis=0)) < 2
+
+            want = [any(rank_deficient(c[list(t)].astype(float))
+                        for t in itertools.combinations(range(k), 3)) for c in cells]
+            assert got.tolist() == want
+            assert got.tolist() == [collinear_sample(c) for c in cells]
+            assert 0 < got.sum() < len(cells)
 
     @staticmethod
     def _assert_same_as_reference(s, family, t, iters, seed):
+        """The batched fit against the per-sample loop: the same counts,
+        inliers and trace; the same homography, and an affine map within
+        1e-12 (one stacked solve against one least-squares solve each)."""
         try:
             ref = ransac_reference(s, family, t, iters, seed)
         except ValueError as exc:
@@ -380,13 +456,17 @@ class TestFitRansac:
             assert str(got.value) == str(exc)
             return
         res = fit_ransac(s, family, t=t, iters=iters, seed=seed)
-        T, count, inliers, trace, c = ref
+        T, count, inliers, trace, c, no_signal = ref
         assert res.transform.family == T.family
-        np.testing.assert_array_equal(res.transform.params, T.params)
+        if family == "affine":
+            np.testing.assert_allclose(res.transform.params, T.params, rtol=0, atol=1e-12)
+        else:
+            np.testing.assert_array_equal(res.transform.params, T.params)
         assert res.inlier_count == count
         assert res.inliers == inliers
         assert res.trace == trace
-        assert res.c == c
+        assert res.c == pytest.approx(c, rel=1e-9, abs=1e-12)
+        assert res.no_signal == no_signal
 
     def test_trace_is_best_so_far(self):
         h = w = 10
